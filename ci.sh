@@ -16,8 +16,9 @@
 #   4. fuzz seed smoke             every Fuzz* target replayed over its
 #                                  checked-in seed corpus plus a short live
 #                                  fuzzing burst (quality + predictor
-#                                  adversarial-input hardening, and the
-#                                  /v1/invoke handler fuzz)
+#                                  adversarial-input hardening, the
+#                                  /v1/invoke handler fuzz, and the corpus.json
+#                                  scanner against encoding/json)
 #   5. bench smoke                 the hot-path benchmark suite at
 #                                  -benchtime=100x -benchmem: catches batch
 #                                  kernels that stop compiling, panic, or
@@ -65,7 +66,13 @@
 #                                  autotuner (internal/tune) and the
 #                                  static-analysis engine (internal/analysis)
 #                                  must not regress below the floors
-#  12. rumba-vet ./...             Rumba's own static-analysis suite:
+#  12. benchmark module            the nested benchmark/ Go module (its own
+#                                  go.mod, so ./... above never reaches it):
+#                                  vet, its smoke/compare tests, and rumba-vet
+#                                  over it against the same baseline — an
+#                                  internal API change that breaks the
+#                                  benchmark fails here, not in a full run
+#  13. rumba-vet ./...             Rumba's own static-analysis suite:
 #                                  purity, determinism, floatcmp, kernelsig,
 #                                  concurrency, approxflow, hotpath,
 #                                  directive (see DESIGN.md, "Static
@@ -96,11 +103,12 @@ echo "==> serving layer under -race (drain, overload-shed and restart-persistenc
 go test -race -count=1 ./internal/server/
 
 echo "==> fuzz seeds smoke"
-go test -run='^Fuzz' ./internal/quality/ ./internal/predictor/ ./internal/nn/ ./internal/analysis/ ./internal/server/
+go test -run='^Fuzz' ./internal/quality/ ./internal/predictor/ ./internal/nn/ ./internal/analysis/ ./internal/server/ ./internal/pkg/
 go test -run='^$' -fuzz='^FuzzElementError$' -fuzztime=10s ./internal/quality/
 go test -run='^$' -fuzz='^FuzzTreePredictError$' -fuzztime=10s ./internal/predictor/
 go test -run='^$' -fuzz='^FuzzParseDirective$' -fuzztime=10s ./internal/analysis/
 go test -run='^$' -fuzz='^FuzzHandleInvoke$' -fuzztime=10s ./internal/server/
+go test -run='^$' -fuzz='^FuzzDecodeCorpus$' -fuzztime=10s ./internal/pkg/
 
 echo "==> bench smoke (-benchtime=100x -benchmem)"
 go test -run '^$' -bench 'Forward|Predict|Stream' -benchtime=100x -benchmem ./internal/bench/
@@ -171,6 +179,9 @@ check_cover ./internal/bundle/ 85
 check_cover ./internal/cluster/ 85
 check_cover ./internal/tune/ 85
 check_cover ./internal/slo/ 85
+
+echo "==> benchmark module (vet, tests, rumba-vet)"
+(cd benchmark && go vet ./... && go test ./... && go run rumba/cmd/rumba-vet -fail-on warning -baseline ../vet-baseline.json ./...)
 
 echo "==> rumba-vet ./... (baseline-gated, SARIF artifact at rumba-vet.sarif)"
 go run ./cmd/rumba-vet -fail-on warning -baseline vet-baseline.json ./...

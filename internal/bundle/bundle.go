@@ -159,12 +159,17 @@ func Save(path string, b *Bundle) error {
 	return nil
 }
 
-// Load reads and validates a bundle.
+// Load reads and validates a bundle file.
 func Load(path string) (*Bundle, *bench.Spec, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bundle: %w", err)
 	}
+	return Parse(data)
+}
+
+// Parse decodes and validates a bundle from its JSON bytes.
+func Parse(data []byte) (*Bundle, *bench.Spec, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, nil, fmt.Errorf("bundle: %w", err)

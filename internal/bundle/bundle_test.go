@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"rumba/internal/accel"
@@ -256,5 +257,45 @@ func TestValidateRejectsShapeCorruption(t *testing.T) {
 				t.Fatalf("%s: Validate accepted a corrupt bundle", tc.name)
 			}
 		})
+	}
+}
+
+// TestParseMatchesLoad checks that Parse over a file's bytes yields what
+// Load yields from the file, and that Parse validates as Load does.
+func TestParseMatchesLoad(t *testing.T) {
+	spec, acfg, preds := trainFFT(t)
+	b, err := New(spec, acfg, preds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fft.json")
+	if err := Save(path, b); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, parsedSpec, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, loadedSpec, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsedSpec != loadedSpec || !reflect.DeepEqual(parsed, loaded) {
+		t.Fatal("Parse and Load disagree on the same bytes")
+	}
+	if _, _, err := Parse(data[:len(data)/2]); err == nil {
+		t.Fatal("Parse accepted a truncated bundle")
+	}
+	b.Version++
+	bad, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Parse(bad); err == nil {
+		t.Fatal("Parse accepted a bundle that fails Validate")
 	}
 }

@@ -39,8 +39,9 @@ type Config struct {
 	// per-call overhead. Detection latency for the first element of a chunk
 	// grows by at most the time to gather the rest, and gathering never
 	// waits — a chunk is whatever is already queued, so a trickling
-	// producer still sees per-element behaviour. 0 uses 1 (the scalar
-	// path, bit-identical to the pre-batching runtime); < 0 is an error.
+	// producer still sees per-element behaviour. System.Run chunks each
+	// invocation the same way. 0 uses 1 (the scalar path, bit-identical to
+	// the pre-batching runtime); < 0 is an error.
 	BatchSize int
 	// RecoveryQueueCap bounds the recovery queue; <= 0 uses 64.
 	RecoveryQueueCap int
@@ -143,10 +144,17 @@ func NewSystem(cfg Config) (*System, error) {
 // Config.Metrics, or the private registry allocated for it).
 func (s *System) Metrics() *obs.Registry { return s.obs }
 
-// Run processes the dataset: the accelerator computes every element, the
-// checker flags suspicious ones through the recovery queue, the CPU
-// re-executes flagged iterations in parallel (pipeline model), and the
-// merger commits exact results over approximate ones.
+// Run processes the dataset, one invocation (Config.InvocationSize
+// elements) at a time. Within an invocation the accelerator and the checker
+// run in Config.BatchSize chunks through the fused batch kernels
+// (exec.InvokeBatch, PredictErrorBatch), and each element the checker fires
+// on is pushed onto the recovery queue. Run models recovery rather than
+// performing it: the dataset's targets are the exact outputs, so a fired
+// element is committed as fixed with zero error, every other element at its
+// accelerator error, and the CPU re-execution's time and energy are priced
+// by the pipeline overlap model (pipeline.Simulate) and the energy model.
+// The threshold only moves between invocations, so the Report is identical
+// at every batch size.
 func (s *System) Run(d nn.Dataset) (*Report, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
@@ -160,21 +168,26 @@ func (s *System) Run(d nn.Dataset) (*Report, error) {
 		s.cfg.Checker.Reset()
 	}
 	recovery := accel.NewQueue[accel.RecoveryBit](s.cfg.RecoveryQueueCap)
-	// No pushes counter: the flagged() scan below pops and re-pushes every
-	// queued bit, which would count phantom traffic. Depth and stalls stay
-	// accurate through that scan.
+	// No pushes counter: every push is a fire, which stream.fires counts.
 	recovery.Instrument(s.obs.Gauge(MetricQueueDepth), nil, s.obs.Counter("queue.recovery.stalls"))
 	mIn, mOut := s.obs.Counter(MetricElementsIn), s.obs.Counter(MetricElementsOut)
 	mFires, mFixes := s.obs.Counter(MetricFires), s.obs.Counter(MetricFixes)
 	gThreshold := s.obs.Gauge(MetricThreshold)
 	flags := make([]bool, d.Len())
 
+	// One chunk's accelerator outputs, rows of one flat array reused for
+	// every chunk, and its predictions. A chunk never spans invocations.
+	batch, outW := min(s.cfg.BatchSize, s.cfg.InvocationSize, d.Len()), spec.OutDim
+	flat := make([]float64, batch*outW)
+	rows := make([][]float64, batch)
+	for i := range rows {
+		rows[i] = flat[i*outW : (i+1)*outW : (i+1)*outW]
+	}
+	preds := make([]float64, batch)
+
 	var uncheckedSum, mergedSum float64
 	for start := 0; start < d.Len(); start += s.cfg.InvocationSize {
-		end := start + s.cfg.InvocationSize
-		if end > d.Len() {
-			end = d.Len()
-		}
+		end := min(start+s.cfg.InvocationSize, d.Len())
 		fixedThisInv := 0
 		threshold := 0.0
 		if s.cfg.Tuner != nil {
@@ -183,38 +196,45 @@ func (s *System) Run(d nn.Dataset) (*Report, error) {
 			gThreshold.Set(threshold)
 		}
 		s.obs.Counter(MetricInvocations).Inc()
-		for i := start; i < end; i++ {
-			mIn.Inc()
-			approx := s.cfg.Accel.Invoke(d.Inputs[i])
-			trueErr := quality.ElementError(spec.Metric, d.Targets[i], approx, spec.Scale)
-			out := &rep.Outcomes[i]
-			out.TrueError = trueErr
-			uncheckedSum += trueErr
-
+		for c := start; c < end; c += batch {
+			n := min(batch, end-c)
+			ins := d.Inputs[c : c+n]
+			exec.InvokeBatch(s.cfg.Accel, rows[:n], ins)
 			if s.cfg.Checker != nil {
-				out.PredictedError = s.cfg.Checker.PredictError(d.Inputs[i], approx)
-				if out.PredictedError > threshold {
-					// The detector fires: push the recovery bit. The CPU
-					// side drains the queue continuously (pipelined with
-					// the accelerator), so a full queue only means
-					// back-pressure in the timing model, never a lost fix.
-					if !recovery.Push(accel.RecoveryBit{Iteration: i, PredictedError: out.PredictedError}) {
-						drainRecovery(recovery, spec, d, rep, &mergedSum, flags)
-						recovery.Push(accel.RecoveryBit{Iteration: i, PredictedError: out.PredictedError})
-					}
-					fixedThisInv++
-					mFires.Inc()
+				s.cfg.Checker.PredictErrorBatch(preds[:n], ins, rows[:n])
+			}
+			mIn.Add(int64(n))
+			for j := 0; j < n; j++ {
+				i := c + j
+				trueErr := quality.ElementError(spec.Metric, d.Targets[i], rows[j], spec.Scale)
+				out := &rep.Outcomes[i]
+				out.TrueError = trueErr
+				uncheckedSum += trueErr
+				fire := false
+				if s.cfg.Checker != nil {
+					out.PredictedError = preds[j]
+					fire = out.PredictedError > threshold
 				}
+				if !fire {
+					// Output merger: the accelerator output is committed.
+					mergedSum += trueErr
+					continue
+				}
+				// The detector fires: push the recovery bit. The CPU side
+				// drains the queue continuously (pipelined with the
+				// accelerator), so a full queue only means back-pressure in
+				// the timing model, never a lost fix.
+				bit := accel.RecoveryBit{Iteration: i, PredictedError: out.PredictedError}
+				if !recovery.Push(bit) {
+					drainRecovery(recovery, rep, flags)
+					recovery.Push(bit)
+				}
+				fixedThisInv++
+				mFires.Inc()
 			}
-			if !flagged(recovery, i) {
-				// Output merger: no recovery bit pending for this element
-				// yet; count the approximate output. (Flagged elements are
-				// committed exactly when the queue drains.)
-				mergedSum += trueErr
-			}
-			mOut.Inc()
+			mOut.Add(int64(n))
 		}
-		drainRecovery(recovery, spec, d, rep, &mergedSum, flags)
+		drainRecovery(recovery, rep, flags)
 		if s.cfg.Tuner != nil {
 			s.cfg.Tuner.Observe(InvocationStats{
 				Elements:       end - start,
@@ -237,35 +257,16 @@ func (s *System) Run(d nn.Dataset) (*Report, error) {
 	return rep, nil
 }
 
-// flagged reports whether element i currently sits in the recovery queue.
-// The queue is small (paper-default 64), so a linear scan is fine.
-func flagged(q *accel.Queue[accel.RecoveryBit], i int) bool {
-	found := false
-	n := q.Len()
-	for k := 0; k < n; k++ {
-		v, _ := q.Pop()
-		if v.Iteration == i {
-			found = true
-		}
-		q.Push(v)
-	}
-	return found
-}
-
 // drainRecovery performs the recovery module's work: pop every pending
-// recovery bit, re-execute that iteration exactly on the CPU, and commit the
-// exact output through the merger (zero error contribution).
-func drainRecovery(q *accel.Queue[accel.RecoveryBit], spec *bench.Spec, d nn.Dataset, rep *Report, mergedSum *float64, flags []bool) {
+// recovery bit and commit that element through the merger as fixed. The
+// exact output replaces the accelerator's, so the element's merged error is
+// exactly zero.
+func drainRecovery(q *accel.Queue[accel.RecoveryBit], rep *Report, flags []bool) {
 	for {
 		bit, ok := q.Pop()
 		if !ok {
 			return
 		}
-		// Pure kernels re-execute without side effects; the exact result
-		// replaces the accelerator output, so the element's merged error
-		// is exactly zero.
-		exact := spec.Exact(d.Inputs[bit.Iteration])
-		_ = exact
 		rep.Outcomes[bit.Iteration].Fixed = true
 		flags[bit.Iteration] = true
 	}

@@ -118,20 +118,15 @@ func Load(dir string) (*Package, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("%w (in %s/%s)", err, dir, ManifestFile)
 	}
-	for _, ref := range []struct {
-		field string
-		ref   FileRef
-	}{{"bundle", m.Bundle}, {"corpus", m.Corpus.FileRef}} {
-		sum, err := fileSHA256(filepath.Join(dir, ref.ref.File))
-		if err != nil {
-			return nil, fmt.Errorf("pkg: %s %s: %w", dir, ref.field, err)
-		}
-		if sum != ref.ref.SHA256 {
-			return nil, fmt.Errorf("pkg: %s/%s checksum mismatch: manifest pins %s, file has %s — the package was modified after build; rebuild it with rumba-pkg build",
-				dir, ref.ref.File, ref.ref.SHA256, sum)
-		}
+	bundleData, err := readPinned(dir, "bundle", m.Bundle)
+	if err != nil {
+		return nil, err
 	}
-	b, spec, err := bundle.Load(filepath.Join(dir, m.Bundle.File))
+	corpusData, err := readPinned(dir, "corpus", m.Corpus.FileRef)
+	if err != nil {
+		return nil, err
+	}
+	b, spec, err := bundle.Parse(bundleData)
 	if err != nil {
 		return nil, fmt.Errorf("pkg: %s: %w", dir, err)
 	}
@@ -142,7 +137,7 @@ func Load(dir string) (*Package, error) {
 		return nil, fmt.Errorf("pkg: %s: manifest schema %dx%d but kernel %s has %dx%d",
 			dir, m.InDim, m.OutDim, spec.Name, spec.InDim, spec.OutDim)
 	}
-	corpus, err := loadCorpus(filepath.Join(dir, m.Corpus.File))
+	corpus, err := parseCorpus(filepath.Join(dir, m.Corpus.File), corpusData)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +196,9 @@ func (p *Package) Replay() (*ReplayReport, error) {
 		return nil, err
 	}
 	checker, checkerName := p.DefaultChecker()
-	cfg := core.Config{Spec: p.Spec, Accel: acc, Checker: checker}
+	// The report does not depend on the batch size; 64 is the serving
+	// default (server.Options.BatchSize), where the batch kernels pay off.
+	cfg := core.Config{Spec: p.Spec, Accel: acc, Checker: checker, BatchSize: 64}
 	if checker != nil {
 		if cfg.Tuner, err = core.NewTuner(core.ModeTOQ, p.Manifest.Quality.TOQ); err != nil {
 			return nil, err
@@ -289,6 +286,23 @@ func Install(registryDir, pkgDir string) (string, error) {
 		}
 	}
 	return dest, nil
+}
+
+// readPinned reads one file the manifest pins and checks its bytes against
+// the pinned SHA-256. Callers parse the returned bytes, so what passed the
+// checksum is exactly what gets parsed; field names the manifest entry in
+// errors.
+func readPinned(dir, field string, ref FileRef) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, ref.File))
+	if err != nil {
+		return nil, fmt.Errorf("pkg: %s %s: %w", dir, field, err)
+	}
+	sum := sha256.Sum256(data)
+	if got := hex.EncodeToString(sum[:]); got != ref.SHA256 {
+		return nil, fmt.Errorf("pkg: %s/%s checksum mismatch: manifest pins %s, file has %s — the package was modified after build; rebuild it with rumba-pkg build",
+			dir, ref.File, ref.SHA256, got)
+	}
+	return data, nil
 }
 
 // fileSHA256 returns the lowercase hex SHA-256 of a file's contents.
