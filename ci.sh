@@ -8,10 +8,13 @@
 #   2. go vet ./...                stock toolchain vet
 #   3. go test -race -shuffle=on   unit + integration tests under the race
 #      ./...                       detector with shuffled test order (the
-#                                  Stream goroutine plumbing in internal/core
-#                                  is exercised by the stress/soak suite with
-#                                  multiple recovery workers, cancellation and
-#                                  goroutine-leak checks; shuffling flushes
+#                                  Stream's per-chunk recovery fan-out and
+#                                  its Process adapter in internal/core are
+#                                  exercised by the stress suite and the
+#                                  deterministic cancellation table, with
+#                                  goroutine-leak checks, and the engine's
+#                                  allocation and goroutine bound is
+#                                  TestProcessSliceAllocs; shuffling flushes
 #                                  out inter-test ordering assumptions)
 #   4. fuzz seed smoke             every Fuzz* target replayed over its
 #                                  checked-in seed corpus plus a short live

@@ -122,20 +122,16 @@ var registry = map[string]runner{
 	"autoselect": func(c *experiments.Context, b string) (string, error) {
 		return render(experiments.ExpAutoSelect(c, splitBench(b)...))
 	},
-	// "stream" renders wall-clock latency histograms, so it is not part of
-	// experimentOrder: `-exp all` output stays deterministic and comparable
-	// against the checked-in results.
-	"stream": func(c *experiments.Context, b string) (string, error) {
-		return render(experiments.ExpStream(c, b))
-	},
-	// "serve" load-tests the rumba-serve layer in-process; like "stream" it
-	// reports wall-clock latencies, so it is excluded from -exp all.
+	// "serve" load-tests the rumba-serve layer in-process. It reports
+	// wall-clock latencies, so it is not part of experimentOrder: `-exp all`
+	// output stays deterministic and comparable against the checked-in
+	// results.
 	"serve": func(c *experiments.Context, b string) (string, error) {
 		return render(experiments.ExpServe(c, b))
 	},
 	// "hotpath" microbenchmarks the batched datapath against its scalar
-	// references and writes BENCH_hotpath.json; wall-clock like "stream"
-	// and "serve", so it too stays out of -exp all.
+	// references and writes BENCH_hotpath.json; wall-clock like "serve",
+	// so it too stays out of -exp all.
 	"hotpath": func(c *experiments.Context, b string) (string, error) {
 		return render(experiments.ExpHotpath(c, b))
 	},

@@ -1,13 +1,14 @@
 // Streaming with cancellation, degradation and live metrics: the hardened
 // online runtime.
 //
-// A long-lived service feeds kernel inputs through core.Stream instead of
-// batching them: detection, bounded recovery and in-order merging run
-// concurrently, a per-job deadline turns a stuck exact re-execution into a
-// Degraded (approximate) result instead of a stalled pipeline, and the whole
-// run can be cancelled through a context. The runtime's observability
-// registry is printed at the end — the same snapshot rumba-demo -stream
-// serves over expvar.
+// A long-lived service feeds kernel inputs through core.Stream as they
+// arrive: each chunk of queued inputs is detected, its fired elements are
+// re-executed on up to three recovery goroutines, and the results are
+// delivered in order. A per-element deadline turns a stuck exact
+// re-execution into a Degraded (approximate) result instead of a stalled
+// stream, and the whole run can be cancelled through a context. The
+// runtime's observability registry is printed at the end — the same
+// snapshot rumba-demo -stream serves over expvar.
 //
 //	go run ./examples/streaming
 package main
@@ -55,19 +56,16 @@ func main() {
 		Accel:   acc,
 		Checker: preds.Tree,
 		Tuner:   tuner,
-		// Production knobs: a stuck exact re-execution degrades after 50ms,
-		// and at most 64 elements are in flight between detection and the
-		// in-order merger.
+		// A stuck exact re-execution degrades after 50ms.
 		RecoveryDeadline: 50 * time.Millisecond,
-		MaxInFlight:      64,
 	}, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The producer honours the same context as the stream: cancelling ctx
-	// (a shutdown signal in a real service) tears the whole pipeline down
-	// without leaking a goroutine.
+	// (a shutdown signal in a real service) stops both without leaking a
+	// goroutine.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	test := spec.GenTest(6000)
@@ -104,10 +102,6 @@ func main() {
 	sort.Strings(names)
 	for _, n := range names {
 		fmt.Printf("  %-30s %d\n", n, snap.Counters[n])
-	}
-	for _, n := range []string{core.MetricQueueDepth, core.MetricPending, core.MetricInFlight} {
-		g := snap.Gauges[n]
-		fmt.Printf("  %-30s max %.0f\n", n, g.Max)
 	}
 	if h, ok := snap.Histograms[core.MetricDetectNs]; ok {
 		fmt.Printf("  %-30s mean %.0fns  p99 <=%.0fns\n", core.MetricDetectNs, h.Mean(), h.Quantile(0.99))

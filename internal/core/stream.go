@@ -16,63 +16,68 @@ import (
 
 // This file is the deployment-shaped variant of the runtime. System.Run is
 // the evaluation harness: it measures true errors against known exact
-// targets. Stream is what a real application embeds: inputs arrive one at a
-// time, the exact result of an element is unknown unless the recovery module
-// actually computes it, and recovery runs on its own goroutines concurrently
-// with detection — the software analogue of the Figure 8 overlap.
+// targets and models recovery instead of running it. Stream is what a real
+// application embeds: the exact result of an element is unknown unless the
+// recovery module actually computes it.
+//
+// ProcessSlice and Process run one synchronous chunk engine (runChunk). For
+// each Config.BatchSize chunk it detects through the fused accelerator and
+// checker batch kernels, decides fires and steps the tuner per element,
+// re-executes the fired elements, and commits the chunk into its slots of
+// the result slice: index addressing is the output merger of Figures 4 and
+// 8. The Figure 8 overlap of detection and recovery is what
+// pipeline.Simulate models; the engine does not imitate it with goroutines.
 //
 // Production hardening semantics:
 //
-//   - Cancellation: Process takes a context.Context. Cancelling it tears
-//     down detection, the recovery pool and the merger with no goroutine or
-//     element leak; the result channel is closed (possibly early).
-//   - Degradation: a recovery job whose kernel panics or overruns
-//     Config.RecoveryDeadline cannot be fixed, but it must not wedge the
-//     in-order merger either. The approximate output is committed with the
-//     Degraded flag — quality degrades for that element, the stream lives.
-//   - Back-pressure: at most Config.MaxInFlight elements are admitted but
-//     not yet delivered, so the merger's reorder buffer is bounded even when
-//     recovery is much slower than detection.
+//   - Cancellation: nothing a call starts outlives it, except an exact
+//     kernel abandoned at its deadline (see runExact). A cancelled
+//     ProcessSlice returns the chunks committed before the cancellation
+//     plus ctx.Err(); Process closes its channel after an in-order prefix
+//     of them.
+//   - Degradation: a fired element whose exact kernel panics or overruns
+//     Config.RecoveryDeadline is committed with its approximate output and
+//     the Degraded flag — quality degrades for that element, the stream
+//     lives.
+//   - Bounded memory: a request holds its result slice plus one chunk of
+//     scratch; Process holds one chunk plus its result channel, so a slow
+//     consumer back-pressures detection.
 
 // Metric names the streaming runtime registers in its obs.Registry. They are
 // exported so tests and dashboards reference one set of spellings.
 const (
-	// MetricElementsIn counts elements accepted by the detection stage.
+	// MetricElementsIn counts elements accepted by detection.
 	MetricElementsIn = "stream.elements_in"
-	// MetricElementsOut counts elements delivered on the result channel.
+	// MetricElementsOut counts elements committed in order to the caller.
 	MetricElementsOut = "stream.elements_out"
 	// MetricFires counts detector firings (elements sent to recovery).
 	MetricFires = "stream.fires"
 	// MetricFixes counts elements exactly re-executed and committed.
 	MetricFixes = "stream.fixes"
-	// MetricDegraded counts recovery jobs that panicked or overran the
+	// MetricDegraded counts recoveries that panicked or overran the
 	// deadline and committed the approximate output instead.
 	MetricDegraded = "stream.degraded"
 	// MetricInvocations counts tuner invocation boundaries.
 	MetricInvocations = "stream.invocations"
-	// MetricQueueDepth gauges the recovery queue occupancy.
+	// MetricQueueDepth gauges System.Run's modelled recovery queue.
 	MetricQueueDepth = "stream.recovery_queue_depth"
-	// MetricPending gauges the merger's reorder-buffer size.
-	MetricPending = "stream.merger_pending"
-	// MetricInFlight gauges elements admitted but not yet delivered.
-	MetricInFlight = "stream.inflight"
 	// MetricDetectNs is the per-element detection latency (accelerator
 	// invoke + checker) in nanoseconds.
 	MetricDetectNs = "stream.latency.detect_ns"
-	// MetricRecoverNs is the per-job recovery latency in nanoseconds.
+	// MetricRecoverNs is the per-element recovery latency in nanoseconds.
 	MetricRecoverNs = "stream.latency.recover_ns"
 	// MetricThreshold gauges the tuner threshold trajectory.
 	MetricThreshold = "tuner.threshold"
 )
 
-// ErrStreamReused is returned by Process when it is called a second time on
-// the same Stream: the detection/tuner state is single-shot by design.
+// ErrStreamReused is returned by Process or ProcessSlice when a Stream is
+// run a second time: the detection/tuner state is single-shot by design.
 var ErrStreamReused = errors.New("core: Stream.Process may be called once per Stream; build a new Stream per run")
 
 // StreamResult is one merged output element.
 type StreamResult struct {
 	// Index is the element's position in the input stream; results are
-	// delivered in index order (the output merger reorders).
+	// delivered in index order.
 	Index int
 	// Output is the committed value: the accelerator's output, or the
 	// exact re-execution when the check fired.
@@ -97,7 +102,7 @@ type StreamResult struct {
 	Observed bool
 }
 
-// Stream is a running online Rumba instance.
+// Stream is a single-shot online Rumba instance.
 type Stream struct {
 	sys     *System
 	workers int
@@ -105,14 +110,23 @@ type Stream struct {
 
 	// Resolved metric handles; hot paths must not take the registry lock.
 	mIn, mOut, mFires, mFixes, mDegraded, mInvocations *obs.Counter
-	gQueue, gPending, gInFlight, gThreshold            *obs.Gauge
+	gThreshold                                         *obs.Gauge
 	hDetect, hRecover                                  *obs.Histogram
+
+	// The run's state: the request span, the index of the next element, the
+	// first element of the tuner's current invocation and its fires so far,
+	// and one chunk's scratch (output rows, predictions, fired slots).
+	span                     trace.SpanRef
+	next, invStart, invFired int
+	rows                     [][]float64
+	preds                    []float64
+	fired                    []int
 }
 
-// NewStream wraps a System for streaming use. workers is the number of
-// recovery goroutines (the paper has one host CPU, so 1 reproduces the
-// paper's setup; more workers model a multicore host). workers <= 0 selects
-// 1.
+// NewStream wraps a System for streaming use. workers bounds the goroutines
+// that re-execute one chunk's fired elements; 1 (the paper's single host
+// CPU) re-executes them inline on the caller's goroutine, more model a
+// multicore host. workers <= 0 selects 1.
 func NewStream(cfg Config, workers int) (*Stream, error) {
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -129,9 +143,6 @@ func NewStream(cfg Config, workers int) (*Stream, error) {
 	st.mFixes = r.Counter(MetricFixes)
 	st.mDegraded = r.Counter(MetricDegraded)
 	st.mInvocations = r.Counter(MetricInvocations)
-	st.gQueue = r.Gauge(MetricQueueDepth)
-	st.gPending = r.Gauge(MetricPending)
-	st.gInFlight = r.Gauge(MetricInFlight)
 	st.gThreshold = r.Gauge(MetricThreshold)
 	st.hDetect = r.Histogram(MetricDetectNs)
 	st.hRecover = r.Histogram(MetricRecoverNs)
@@ -142,434 +153,268 @@ func NewStream(cfg Config, workers int) (*Stream, error) {
 // Config.Metrics, or the private registry allocated for it).
 func (st *Stream) Metrics() *obs.Registry { return st.sys.obs }
 
-// recoveryJob travels from the detection stage to the recovery workers. It
-// carries the approximate output so a failed recovery can still commit
-// something.
-type recoveryJob struct {
-	index  int
-	input  []float64
-	approx []float64
-	pred   float64
-}
-
-// resultBatch carries a group of results from a producing stage to the
-// output merger in one channel hop. Batches are pooled: the merger copies
-// the items into its reorder buffer and returns the batch immediately, so
-// ownership is strictly producer -> merger and a batch never outlives one
-// hop. The StreamResult.Output slices inside are NOT pooled — they escape
-// to the consumer.
-type resultBatch struct {
-	items []StreamResult
-}
-
-var resultBatchPool = sync.Pool{New: func() any { return &resultBatch{} }}
-
-// newResultBatch takes an empty batch from the pool.
+// ProcessSlice is the request-shaped entry point: it runs a finite batch of
+// inputs through the engine one Config.BatchSize chunk at a time and returns
+// the in-order results. It is what a serving layer calls once per request —
+// rumba-serve builds one Stream per admitted request around the tenant's
+// live tuner and propagates the request deadline through ctx.
 //
-//rumba:hotpath
-func newResultBatch() *resultBatch {
-	//rumba:allow hotpath sync.Pool recycles batches; steady state takes the pooled fast path
-	b := resultBatchPool.Get().(*resultBatch)
-	b.items = b.items[:0]
-	return b
-}
-
-// inputSource yields the next chunk of stream inputs. buf (capacity =
-// BatchSize) is scratch the source may fill and return, or it may return
-// its own sub-slice. A nil chunk with ok=true is end of stream; ok=false is
-// cancellation. The returned chunk is only valid until the next call.
-type inputSource func(ctx context.Context, buf [][]float64) ([][]float64, bool)
-
-// chanSource adapts an input channel: it blocks for the first element of a
-// chunk, then fills the rest non-blockingly with whatever is already
-// queued. A trickling producer therefore still gets per-element latency —
-// batching only kicks in when elements actually queue up.
-func chanSource(inputs <-chan []float64) inputSource {
-	return func(ctx context.Context, buf [][]float64) ([][]float64, bool) {
-		buf = buf[:0]
-		select {
-		case <-ctx.Done():
-			return nil, false
-		case v, ok := <-inputs:
-			if !ok {
-				return nil, true
-			}
-			buf = append(buf, v)
-		}
-		for len(buf) < cap(buf) {
-			select {
-			case v, ok := <-inputs:
-				if !ok {
-					// Closed mid-fill: hand back the partial chunk; the
-					// next call's blocking receive sees the close and
-					// reports end of stream.
-					return buf, true
-				}
-				buf = append(buf, v)
-			default:
-				return buf, true
-			}
-		}
-		return buf, true
-	}
-}
-
-// sliceSource yields BatchSize-wide windows of a finite input slice with no
-// feeder goroutine or channel copies at all.
-func sliceSource(inputs [][]float64) inputSource {
-	pos := 0
-	return func(ctx context.Context, buf [][]float64) ([][]float64, bool) {
-		if ctx.Err() != nil {
-			return nil, false
-		}
-		if pos >= len(inputs) {
-			return nil, true
-		}
-		n := cap(buf)
-		if rem := len(inputs) - pos; rem < n {
-			n = rem
-		}
-		chunk := inputs[pos : pos+n]
-		pos += n
-		return chunk, true
-	}
-}
-
-// Process consumes the input channel and returns the merged, in-order
-// result channel. The result channel is closed after the final input's
-// element is delivered, or as soon as ctx is cancelled (whichever comes
-// first); on cancellation every pipeline goroutine exits and undelivered
-// elements are dropped. Process returns ErrStreamReused when called a
-// second time — the per-run detection and tuner state is single-shot.
-//
-// Detection runs in Config.BatchSize chunks through the fused batch kernels
-// (exec.BatchExecutor, predictor.PredictErrorBatch); recovery and delivery
-// stay per-element, so firing thresholds, Degraded semantics and result
-// order are identical at every batch size.
-func (st *Stream) Process(ctx context.Context, inputs <-chan []float64) (<-chan StreamResult, error) {
-	return st.process(ctx, chanSource(inputs))
-}
-
-func (st *Stream) process(ctx context.Context, src inputSource) (<-chan StreamResult, error) {
-	if !st.started.CompareAndSwap(false, true) {
-		return nil, ErrStreamReused
-	}
+// On cancellation (deadline exceeded, client gone) it returns the whole
+// chunks committed before the cancellation together with ctx.Err(). Nothing
+// it started is still running when it returns, so the caller may hand the
+// tenant's accelerator, checker and tuner to its next request at once.
+func (st *Stream) ProcessSlice(ctx context.Context, inputs [][]float64) ([]StreamResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make(chan StreamResult, 64)
-	// The recovery queue: bounded, so a slow CPU back-pressures detection
-	// exactly like the hardware queue of Figure 4 would.
-	recovery := make(chan recoveryJob, st.sys.cfg.RecoveryQueueCap)
-	merged := make(chan *resultBatch, 64)
-	// tokens is the in-flight window: detection acquires a slot per
-	// element before emitting it anywhere, the merger releases the slot on
-	// delivery. The merger's reorder buffer therefore never holds more
-	// than MaxInFlight elements, no matter how slow recovery runs.
-	tokens := make(chan struct{}, st.sys.cfg.MaxInFlight)
-
-	var wg sync.WaitGroup
-
-	// Recovery workers: pure kernels re-execute without side effects, so
-	// any number of workers may run concurrently. Each job is isolated:
-	// panics and deadline overruns degrade the element instead of killing
-	// the worker.
-	wg.Add(st.workers)
-	for w := 0; w < st.workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				var job recoveryJob
-				select {
-				case <-ctx.Done():
-					return
-				case j, ok := <-recovery:
-					if !ok {
-						return
-					}
-					job = j
-				}
-				st.gQueue.Add(-1)
-				res := st.recoverOne(ctx, job)
-				b := newResultBatch()
-				b.items = append(b.items, res)
-				select {
-				case merged <- b:
-				case <-ctx.Done():
-					resultBatchPool.Put(b)
-					return
-				}
-			}
-		}()
+	batch := min(st.sys.cfg.BatchSize, len(inputs))
+	if err := st.begin(ctx, batch); err != nil {
+		return nil, err
 	}
-
-	// Detection stage: gathers inputs in BatchSize chunks, runs the fused
-	// accelerator and checker batch kernels, splits elements between the
-	// direct path and the recovery queue, and drives the online tuner at
-	// invocation boundaries. Direct-path results accumulate into a pooled
-	// batch flushed once per chunk — one channel hop instead of one per
-	// element — but are always flushed BEFORE any blocking send or token
-	// acquire: the merger can only release in-flight slots for elements it
-	// has seen, so blocking while holding unflushed results would deadlock
-	// once BatchSize approaches MaxInFlight.
-	// The request span (if any) travels in ctx; every pipeline stage hangs
-	// its spans off it. With tracing disabled this is a zero SpanRef and all
-	// span calls below reduce to nil checks — the hot path allocates nothing.
-	reqSpan := trace.FromContext(ctx)
-
-	go func() {
-		cfg := &st.sys.cfg
-		if cfg.Checker != nil {
-			cfg.Checker.Reset()
+	outW := st.sys.cfg.Spec.OutDim
+	results := make([]StreamResult, len(inputs))
+	// One flat array backs every accelerator output of the request. The
+	// rows escape to the caller through StreamResult.Output.
+	flat := make([]float64, len(inputs)*outW)
+	for lo := 0; lo < len(inputs); lo += batch {
+		hi := min(lo+batch, len(inputs))
+		if err := st.runChunk(ctx, results[lo:hi], inputs[lo:hi], flat[lo*outW:hi*outW]); err != nil {
+			return results[:lo], err
 		}
-		if cfg.Tuner != nil {
-			st.gThreshold.Set(cfg.Tuner.Threshold)
-		}
-		batch := cfg.BatchSize
-		outW := cfg.Spec.OutDim
-		gather := make([][]float64, 0, batch)
-		rows := make([][]float64, batch)
-		preds := make([]float64, batch)
-		var direct *resultBatch
+	}
+	return results, nil
+}
 
-		// flushDirect hands the accumulated direct-path results to the
-		// merger. false means the stream was cancelled.
-		flushDirect := func() bool {
-			if direct == nil || len(direct.items) == 0 {
-				return true
-			}
-			select {
-			case merged <- direct:
-				direct = nil
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		abort := func() {
-			if direct != nil {
-				resultBatchPool.Put(direct)
-			}
-		}
-
-		idx := 0
-		invFixed := 0
-		invStart := 0
-		for {
-			chunk, alive := src(ctx, gather)
-			if !alive {
-				abort()
-				return
-			}
-			if len(chunk) == 0 {
-				// Normal end of stream: flush the tail, drain the pool,
-				// then let the merger finish.
-				if !flushDirect() {
-					abort()
-					return
-				}
-				close(recovery)
-				wg.Wait()
-				close(merged)
-				return
-			}
-			n := len(chunk)
-			chunkSp := reqSpan.Start("stream.chunk")
-			chunkSp.SetInt("elements", int64(n))
-			chunkFires := 0
-			start := time.Now()
-			// One flat allocation backs the whole chunk's outputs; a batch
-			// executor fills the rows in place (rows escape to the consumer
-			// through StreamResult.Output, so they cannot be pooled). The
-			// three-index slice keeps a fallback executor's fresh rows from
-			// being silently clipped by a neighbour's capacity.
-			flat := make([]float64, n*outW)
-			for i := 0; i < n; i++ {
-				rows[i] = flat[i*outW : (i+1)*outW : (i+1)*outW]
-			}
-			exec.InvokeBatchTraced(chunkSp, cfg.Accel, rows[:n], chunk)
-			if cfg.Checker != nil {
-				csp := chunkSp.Start("checker.predict")
-				cfg.Checker.PredictErrorBatch(preds[:n], chunk, rows[:n])
-				csp.End()
-			}
-			perElement := float64(time.Since(start)) / float64(n)
-			for i := 0; i < n; i++ {
-				st.hDetect.Observe(perElement)
-			}
-			st.mIn.Add(int64(n))
-
-			for i := 0; i < n; i++ {
-				pred := 0.0
-				fire := false
-				if cfg.Checker != nil {
-					pred = preds[i]
-					fire = pred > cfg.Tuner.Threshold
-				}
-				// Acquire the in-flight slot, flushing first if we must wait.
-				select {
-				case tokens <- struct{}{}:
-				default:
-					if !flushDirect() {
-						abort()
-						return
-					}
-					select {
-					case tokens <- struct{}{}:
-					case <-ctx.Done():
-						abort()
-						return
-					}
-				}
-				st.gInFlight.Add(1)
-				if fire {
-					invFixed++
-					chunkFires++
-					st.mFires.Inc()
-					job := recoveryJob{index: idx, input: chunk[i], approx: rows[i], pred: pred}
-					select {
-					case recovery <- job:
-						st.gQueue.Add(1)
-					default:
-						if !flushDirect() {
-							abort()
-							return
-						}
-						select {
-						case recovery <- job:
-							st.gQueue.Add(1)
-						case <-ctx.Done():
-							abort()
-							return
-						}
-					}
-				} else {
-					if direct == nil {
-						direct = newResultBatch()
-					}
-					direct.items = append(direct.items, StreamResult{Index: idx, Output: rows[i], PredictedError: pred})
-				}
-				idx++
-				if cfg.Tuner != nil && idx-invStart >= cfg.InvocationSize {
-					cfg.Tuner.Observe(InvocationStats{
-						Elements:       idx - invStart,
-						Fixed:          invFixed,
-						CPUUtilisation: st.sys.estimateUtilisation(invFixed, idx-invStart),
-					})
-					st.mInvocations.Inc()
-					st.gThreshold.Set(cfg.Tuner.Threshold)
-					invStart = idx
-					invFixed = 0
-				}
-			}
-			chunkSp.SetInt("fires", int64(chunkFires))
-			chunkSp.End()
-			if !flushDirect() {
-				abort()
-				return
-			}
-		}
-	}()
-
-	// Output merger: reorders the two paths back into stream order and
-	// releases in-flight slots as elements leave the pipeline. Incoming
-	// batches are copied into the reorder buffer and returned to the pool
-	// in the same iteration — the merger never retains a pooled batch
-	// across channel receives.
+// Process consumes the input channel and returns the merged, in-order
+// result channel. One goroutine gathers each chunk as the inputs arrive —
+// it blocks for the chunk's first element, then takes whatever else is
+// already queued, so a trickling producer still gets per-element latency —
+// runs it through the engine and sends its results in order. The channel is
+// closed after the final input's element is delivered, or once ctx is
+// cancelled; undelivered elements are then dropped. Process returns
+// ErrStreamReused when the Stream has already run.
+func (st *Stream) Process(ctx context.Context, inputs <-chan []float64) (<-chan StreamResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	batch := st.sys.cfg.BatchSize
+	if err := st.begin(ctx, batch); err != nil {
+		return nil, err
+	}
+	// The buffer lets a consumer lag the engine by up to 64 results; a
+	// slower one blocks the sends and so back-pressures detection.
+	out := make(chan StreamResult, 64)
 	go func() {
 		defer close(out)
-		pending := make(map[int]StreamResult)
-		next := 0
+		outW := st.sys.cfg.Spec.OutDim
+		buf := make([][]float64, 0, batch)
+		res := make([]StreamResult, batch)
 		for {
-			var b *resultBatch
-			select {
-			case <-ctx.Done():
+			chunk := gather(ctx, inputs, buf)
+			n := len(chunk)
+			if n == 0 || st.runChunk(ctx, res[:n], chunk, make([]float64, n*outW)) != nil {
 				return
-			case it, ok := <-merged:
-				if !ok {
-					// merged is closed only after every element was
-					// produced, so pending must be empty here;
-					// anything left is a bug.
-					if len(pending) != 0 {
-						panic(fmt.Sprintf("core: output merger lost ordering, %d stranded elements", len(pending)))
-					}
-					return
-				}
-				b = it
 			}
-			msp := reqSpan.Start("merge.commit")
-			msp.SetInt("items", int64(len(b.items)))
-			for _, r := range b.items {
-				pending[r.Index] = r
-			}
-			resultBatchPool.Put(b)
-			st.gPending.Set(float64(len(pending)))
-			delivered := 0
-			for {
-				r, ok := pending[next]
-				if !ok {
-					break
-				}
+			for _, r := range res[:n] {
 				select {
 				case out <- r:
 				case <-ctx.Done():
 					return
 				}
-				delete(pending, next)
-				st.mOut.Inc()
-				st.gInFlight.Add(-1)
-				<-tokens
-				next++
-				delivered++
 			}
-			st.gPending.Set(float64(len(pending)))
-			msp.SetInt("delivered", int64(delivered))
-			msp.End()
 		}
 	}()
 	return out, nil
 }
 
-// recoverOne performs one recovery job with panic isolation and the
-// per-job deadline. It always produces a committable result: the exact
-// output (Fixed) when re-execution succeeds, the approximate output
-// (Degraded) when the kernel panics, overruns Config.RecoveryDeadline, or
-// the stream is cancelled mid-job.
-func (st *Stream) recoverOne(ctx context.Context, job recoveryJob) StreamResult {
-	sp := trace.FromContext(ctx).Start("exec.recover")
-	sp.SetInt("index", int64(job.index))
-	sp.SetFloat("predicted_error", job.pred)
+// gather fills buf (from length zero, up to its capacity) with the next
+// chunk of inputs: it blocks for the first element, then takes only what is
+// already queued. An empty chunk means end of stream or cancellation.
+func gather(ctx context.Context, inputs <-chan []float64, buf [][]float64) [][]float64 {
+	buf = buf[:0]
+	select {
+	case <-ctx.Done():
+		return nil
+	case v, ok := <-inputs:
+		if !ok {
+			return nil
+		}
+		buf = append(buf, v)
+	}
+	for len(buf) < cap(buf) {
+		select {
+		case v, ok := <-inputs:
+			if !ok {
+				// Closed mid-fill: the next call's blocking receive sees
+				// the close and reports end of stream.
+				return buf
+			}
+			buf = append(buf, v)
+		default:
+			return buf
+		}
+	}
+	return buf
+}
+
+// begin claims the Stream's single run, resets the checker and allocates
+// the chunk scratch for chunks of up to batch elements.
+func (st *Stream) begin(ctx context.Context, batch int) error {
+	if !st.started.CompareAndSwap(false, true) {
+		return ErrStreamReused
+	}
+	cfg := &st.sys.cfg
+	if cfg.Checker != nil {
+		cfg.Checker.Reset()
+	}
+	if cfg.Tuner != nil {
+		st.gThreshold.Set(cfg.Tuner.Threshold)
+	}
+	// The request span (if any) travels in ctx. With tracing disabled it is
+	// a zero SpanRef and every span call reduces to a nil check.
+	st.span = trace.FromContext(ctx)
+	st.rows = make([][]float64, batch)
+	st.preds = make([]float64, batch)
+	st.fired = make([]int, 0, batch)
+	return nil
+}
+
+// runChunk is the engine: it runs one chunk of inputs through detection,
+// decides fires and steps the tuner per element, re-executes the fired
+// elements and commits the chunk into res, writing each element's
+// accelerator output into its row of flat. The threshold moves only at
+// invocation boundaries, so results are identical at every chunk size. If
+// ctx is cancelled before the commit, runChunk returns ctx.Err() and the
+// chunk's results must be discarded.
+func (st *Stream) runChunk(ctx context.Context, res []StreamResult, ins [][]float64, flat []float64) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	cfg := &st.sys.cfg
+	n, outW := len(ins), cfg.Spec.OutDim
+	chunkSp := st.span.Start("stream.chunk")
+	chunkSp.SetInt("elements", int64(n))
 	start := time.Now()
-	exact, ok := st.runExact(ctx, job.input)
+	// The three-index slice keeps a fallback executor's fresh rows from
+	// being silently clipped by a neighbour's capacity.
+	rows := st.rows[:n]
+	for i := range rows {
+		rows[i] = flat[i*outW : (i+1)*outW : (i+1)*outW]
+	}
+	exec.InvokeBatchTraced(chunkSp, cfg.Accel, rows, ins)
+	if cfg.Checker != nil {
+		csp := chunkSp.Start("checker.predict")
+		cfg.Checker.PredictErrorBatch(st.preds[:n], ins, rows)
+		csp.End()
+	}
+	perElement := float64(time.Since(start)) / float64(n)
+	for range n {
+		st.hDetect.Observe(perElement)
+	}
+	st.mIn.Add(int64(n))
+
+	st.fired = st.fired[:0]
+	for i := range n {
+		res[i] = StreamResult{Index: st.next, Output: rows[i]}
+		if cfg.Checker != nil {
+			res[i].PredictedError = st.preds[i]
+			if st.preds[i] > cfg.Tuner.Threshold {
+				st.fired = append(st.fired, i)
+				st.invFired++
+				st.mFires.Inc()
+			}
+		}
+		st.next++
+		if cfg.Tuner != nil && st.next-st.invStart >= cfg.InvocationSize {
+			elements := st.next - st.invStart
+			cfg.Tuner.Observe(InvocationStats{
+				Elements:       elements,
+				Fixed:          st.invFired,
+				CPUUtilisation: EstimateUtilisation(cfg.Accel, cfg.Spec.Cost, st.sys.model, st.invFired, elements),
+			})
+			st.mInvocations.Inc()
+			st.gThreshold.Set(cfg.Tuner.Threshold)
+			st.invStart, st.invFired = st.next, 0
+		}
+	}
+	chunkSp.SetInt("fires", int64(len(st.fired)))
+	chunkSp.End()
+
+	st.recoverFired(ctx, res, ins)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	msp := st.span.Start("merge.commit")
+	msp.SetInt("items", int64(n))
+	st.mOut.Add(int64(n))
+	msp.End()
+	return nil
+}
+
+// recoverFired re-executes the chunk's fired elements, inline with one
+// worker, otherwise on at most st.workers goroutines that have all exited
+// when it returns. Each element's result slot is written by exactly one
+// goroutine. Once ctx is cancelled the remaining elements are skipped: the
+// chunk will not be committed.
+func (st *Stream) recoverFired(ctx context.Context, res []StreamResult, ins [][]float64) {
+	fired := st.fired
+	k := min(st.workers, len(fired))
+	if k <= 1 {
+		for _, i := range fired {
+			if ctx.Err() != nil {
+				return
+			}
+			st.recoverOne(ctx, &res[i], ins[i])
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for range k {
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				j := int(next.Add(1)) - 1
+				if j >= len(fired) {
+					return
+				}
+				st.recoverOne(ctx, &res[fired[j]], ins[fired[j]])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// recoverOne re-executes one fired element with panic isolation and the
+// per-element deadline, and updates its detected result r in place: the
+// exact output (Fixed) when re-execution succeeds, the approximate output
+// (Degraded) when the kernel panics, overruns Config.RecoveryDeadline, or
+// the stream is cancelled mid-call.
+func (st *Stream) recoverOne(ctx context.Context, r *StreamResult, in []float64) {
+	sp := st.span.Start("exec.recover")
+	sp.SetInt("index", int64(r.Index))
+	sp.SetFloat("predicted_error", r.PredictedError)
+	start := time.Now()
+	exact, ok := st.runExact(ctx, in)
 	st.hRecover.Observe(float64(time.Since(start)))
 	if !ok {
 		st.mDegraded.Inc()
 		sp.SetStr("outcome", "degraded")
 		sp.AddFlag(trace.FlagDegraded)
 		sp.End()
-		return StreamResult{
-			Index:          job.index,
-			Output:         job.approx,
-			Degraded:       true,
-			PredictedError: job.pred,
-		}
+		r.Degraded = true
+		return
 	}
 	st.mFixes.Inc()
 	// The exact recomputation is the one moment the online system holds
 	// ground truth: score the approximate output against it. This observed
 	// error calibrates the checker and feeds the drift monitor upstream.
-	obsErr := quality.ElementError(st.sys.cfg.Spec.Metric, exact, job.approx, st.sys.cfg.Spec.Scale)
+	obsErr := quality.ElementError(st.sys.cfg.Spec.Metric, exact, r.Output, st.sys.cfg.Spec.Scale)
 	sp.SetStr("outcome", "fixed")
 	sp.SetFloat("observed_error", obsErr)
 	sp.End()
-	return StreamResult{
-		Index:          job.index,
-		Output:         exact,
-		Fixed:          true,
-		PredictedError: job.pred,
-		ObservedError:  obsErr,
-		Observed:       true,
-	}
+	r.Output, r.Fixed, r.ObservedError, r.Observed = exact, true, obsErr, true
 }
 
 // runExact invokes the exact kernel with panic isolation. With a deadline
@@ -583,7 +428,7 @@ func (st *Stream) runExact(ctx context.Context, in []float64) (out []float64, ok
 	// The helper goroutine can be abandoned past the deadline and finish
 	// long after the stream completed, so it must not retain caller-owned
 	// input memory — a serving layer recycles request buffers as soon as
-	// ProcessSlice returns successfully.
+	// ProcessSlice returns.
 	in = append([]float64(nil), in...)
 	type exactResult struct {
 		out []float64

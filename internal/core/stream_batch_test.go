@@ -6,15 +6,13 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"rumba/internal/rng"
 )
 
 // This file pins the batched detection path (Config.BatchSize > 1) to the
 // scalar runtime: identical outputs, flags and counters at every batch
-// size, liveness with an in-flight window smaller than the batch, and
-// clean teardown under cancellation mid-batch.
+// size, and clean teardown under cancellation mid-batch.
 
 func newBatchStressStream(t *testing.T, c stressCase, batch int) *Stream {
 	t.Helper()
@@ -28,9 +26,7 @@ func newBatchStressStream(t *testing.T, c stressCase, batch int) *Stream {
 		Checker:          scoreChecker{},
 		Tuner:            tuner,
 		InvocationSize:   c.invocationSize,
-		RecoveryQueueCap: c.queueCap,
 		RecoveryDeadline: c.deadline,
-		MaxInFlight:      c.maxInFlight,
 		BatchSize:        batch,
 	}, c.workers)
 	if err != nil {
@@ -52,10 +48,7 @@ func TestNewSystemRejectsNegativeBatchSize(t *testing.T) {
 // outputs, flags, predictions and the fire/fix counters.
 func TestStreamBatchSizesIdenticalResults(t *testing.T) {
 	r := rng.NewNamed("stream-batch/identical")
-	c := stressCase{
-		workers: 2, queueCap: 4, maxInFlight: 256,
-		invocationSize: 37, elements: 500,
-	}
+	c := stressCase{workers: 2, invocationSize: 37, elements: 500}
 	inputs, fires := genStressInputs(r, c)
 
 	run := func(batch int) []StreamResult {
@@ -97,59 +90,9 @@ func TestStreamBatchSizesIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestStreamBatchLargerThanInFlightWindow is the deadlock regression test
-// for the flush-before-block discipline: with MaxInFlight far below
-// BatchSize, detection must hand accumulated results to the merger before
-// waiting on an in-flight slot, or the window can never drain.
-func TestStreamBatchLargerThanInFlightWindow(t *testing.T) {
-	r := rng.NewNamed("stream-batch/window")
-	c := stressCase{
-		workers: 1, queueCap: 1, maxInFlight: 2,
-		invocationSize: 64, elements: 300,
-	}
-	inputs, fires := genStressInputs(r, c)
-	st := newBatchStressStream(t, c, 64)
-
-	done := make(chan struct{})
-	var res []StreamResult
-	var err error
-	go func() {
-		defer close(done)
-		res, err = st.ProcessSlice(context.Background(), inputs)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		buf := make([]byte, 1<<20)
-		t.Fatalf("batched stream wedged with MaxInFlight < BatchSize\n%s", buf[:runtime.Stack(buf, true)])
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != c.elements {
-		t.Fatalf("delivered %d of %d", len(res), c.elements)
-	}
-	fixed := 0
-	for i, r := range res {
-		if r.Index != i {
-			t.Fatalf("out of order: got %d at %d", r.Index, i)
-		}
-		if r.Fixed {
-			fixed++
-		}
-	}
-	if fixed != fires {
-		t.Fatalf("fixed %d of %d fires", fixed, fires)
-	}
-	snap := st.Metrics().Snapshot()
-	if m := snap.Gauges[MetricInFlight].Max; m > float64(c.maxInFlight) {
-		t.Fatalf("in-flight reached %v with a window of %d", m, c.maxInFlight)
-	}
-}
-
 // TestStreamBatchCancellationLeaksNothing cancels batched streams mid-run
 // (randomised batch sizes and failure-mode kernels) and asserts the
-// delivered prefix is in order and every pipeline goroutine exits.
+// delivered prefix is in order and every goroutine exits.
 func TestStreamBatchCancellationLeaksNothing(t *testing.T) {
 	for seed := 0; seed < 4; seed++ {
 		seed := seed
@@ -162,7 +105,19 @@ func TestStreamBatchCancellationLeaksNothing(t *testing.T) {
 			st := newBatchStressStream(t, c, batch)
 
 			ctx, cancel := context.WithCancel(context.Background())
-			out, err := st.process(ctx, sliceSource(inputs))
+			// The producer watches ctx, so the test owns no leak of its own.
+			ch := make(chan []float64)
+			go func() {
+				defer close(ch)
+				for _, in := range inputs {
+					select {
+					case ch <- in:
+					case <-ctx.Done():
+						return
+					}
+				}
+			}()
+			out, err := st.Process(ctx, ch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,10 +146,7 @@ func TestStreamBatchCancellationLeaksNothing(t *testing.T) {
 // and completely, with results identical to the slice path.
 func TestStreamBatchChannelSourceGathersQueuedInputs(t *testing.T) {
 	r := rng.NewNamed("stream-batch/chan")
-	c := stressCase{
-		workers: 2, queueCap: 4, maxInFlight: 128,
-		invocationSize: 50, elements: 257,
-	}
+	c := stressCase{workers: 2, invocationSize: 50, elements: 257}
 	inputs, _ := genStressInputs(r, c)
 
 	want, err := newBatchStressStream(t, c, 32).ProcessSlice(context.Background(), inputs)

@@ -15,11 +15,10 @@ import (
 )
 
 // This file is the streaming runtime's stress/soak suite: randomized worker
-// counts, queue capacities, invocation sizes and in-flight windows, with
-// artificially panicking and slow kernels, asserting the hardening contract —
-// in-order exactly-once delivery, fires == fixes + degradations, a bounded
-// reorder buffer, and zero leaked goroutines on both normal completion and
-// mid-stream cancellation. ci.sh runs it under -race.
+// counts and invocation sizes, with artificially panicking and slow kernels,
+// asserting the hardening contract — in-order exactly-once delivery,
+// fires == fixes + degradations, and zero leaked goroutines on both normal
+// completion and mid-stream cancellation. ci.sh runs it under -race.
 
 // Stress inputs are triples {value, behaviour, score}: behaviour selects the
 // exact kernel's failure mode, score is the checker's predicted error.
@@ -101,16 +100,14 @@ func waitForGoroutines(t *testing.T, base int) {
 
 // stressCase is one randomized configuration of the runtime.
 type stressCase struct {
-	workers, queueCap, maxInFlight, invocationSize, elements int
-	deadline                                                 time.Duration
-	panicFrac, slowFrac                                      float64
+	workers, invocationSize, elements int
+	deadline                          time.Duration
+	panicFrac, slowFrac               float64
 }
 
 func randomCase(r *rng.Stream, elements int) stressCase {
 	c := stressCase{
 		workers:        1 + r.Intn(6),
-		queueCap:       1 + r.Intn(8),
-		maxInFlight:    1 + r.Intn(48),
 		invocationSize: 16 + r.Intn(100),
 		elements:       elements,
 		panicFrac:      0.1,
@@ -156,9 +153,7 @@ func newStressStream(t *testing.T, c stressCase) *Stream {
 		Checker:          scoreChecker{},
 		Tuner:            tuner,
 		InvocationSize:   c.invocationSize,
-		RecoveryQueueCap: c.queueCap,
 		RecoveryDeadline: c.deadline,
-		MaxInFlight:      c.maxInFlight,
 	}, c.workers)
 	if err != nil {
 		t.Fatal(err)
@@ -214,12 +209,6 @@ func TestStreamStressRandomizedCompletion(t *testing.T) {
 			if snap.Counters[MetricFires] != int64(fires) || snap.Counters[MetricFixes] != int64(fixed) || snap.Counters[MetricDegraded] != int64(degraded) {
 				t.Fatalf("fire/fix/degrade counters disagree: %+v", snap.Counters)
 			}
-			if m := snap.Gauges[MetricPending].Max; m > float64(c.maxInFlight) {
-				t.Fatalf("reorder buffer reached %v with an in-flight window of %d", m, c.maxInFlight)
-			}
-			if m := snap.Gauges[MetricInFlight].Max; m > float64(c.maxInFlight) {
-				t.Fatalf("in-flight reached %v with a window of %d", m, c.maxInFlight)
-			}
 			waitForGoroutines(t, base)
 		})
 	}
@@ -267,7 +256,7 @@ func TestStreamStressCancellationLeaksNothing(t *testing.T) {
 				next++
 				if next == consume {
 					cancel()
-					// Keep draining: the merger may deliver a few more
+					// Keep draining: the stream may deliver a few more
 					// buffered elements before it observes cancellation,
 					// and they must still arrive in order.
 				}
@@ -286,7 +275,7 @@ func TestStreamStressCancellationLeaksNothing(t *testing.T) {
 // still deliver everything, flagged Degraded, with the approximate outputs.
 func TestStreamPanickingKernelDegrades(t *testing.T) {
 	base := runtime.NumGoroutine()
-	c := stressCase{workers: 3, queueCap: 2, maxInFlight: 8, invocationSize: 32, elements: 200}
+	c := stressCase{workers: 3, invocationSize: 32, elements: 200}
 	st := newStressStream(t, c)
 	inputs := make([][]float64, c.elements)
 	for i := range inputs {
@@ -320,13 +309,12 @@ func TestStreamPanickingKernelDegrades(t *testing.T) {
 }
 
 // TestStreamDeadlineDegradesSlowKernel: a kernel that overruns the per-job
-// deadline must degrade rather than stall the merger; without a deadline the
+// deadline must degrade rather than stall the stream; without a deadline the
 // same kernel would simply be waited for.
 func TestStreamDeadlineDegradesSlowKernel(t *testing.T) {
 	base := runtime.NumGoroutine()
 	c := stressCase{
-		workers: 2, queueCap: 2, maxInFlight: 8, invocationSize: 32,
-		elements: 8, deadline: time.Millisecond,
+		workers: 2, invocationSize: 32, elements: 8, deadline: time.Millisecond,
 	}
 	st := newStressStream(t, c)
 	inputs := make([][]float64, c.elements)

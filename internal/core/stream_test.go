@@ -212,15 +212,9 @@ func TestConfigValidatesHardeningKnobs(t *testing.T) {
 	if _, err := NewSystem(Config{Spec: spec, Accel: acc, RecoveryDeadline: -1}); err == nil {
 		t.Fatal("negative recovery deadline must fail validation")
 	}
-	if _, err := NewSystem(Config{Spec: spec, Accel: acc, MaxInFlight: -1}); err == nil {
-		t.Fatal("negative in-flight window must fail validation")
-	}
 	sys, err := NewSystem(Config{Spec: spec, Accel: acc, RecoveryQueueCap: 8})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sys.cfg.MaxInFlight != 32 {
-		t.Fatalf("default MaxInFlight = %d, want 4x queue cap = 32", sys.cfg.MaxInFlight)
 	}
 	if sys.Metrics() == nil {
 		t.Fatal("a private metrics registry must be allocated")

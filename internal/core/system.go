@@ -33,32 +33,28 @@ type Config struct {
 	// InvocationSize is the number of elements per accelerator invocation
 	// batch (the granularity at which the tuner adapts); <= 0 uses 512.
 	InvocationSize int
-	// BatchSize is the streaming runtime's detection chunk: up to this many
-	// queued elements are gathered per iteration and pushed through the
-	// fused accelerator/checker batch kernels, amortising channel hops and
-	// per-call overhead. Detection latency for the first element of a chunk
-	// grows by at most the time to gather the rest, and gathering never
-	// waits — a chunk is whatever is already queued, so a trickling
-	// producer still sees per-element behaviour. System.Run chunks each
-	// invocation the same way. 0 uses 1 (the scalar path, bit-identical to
-	// the pre-batching runtime); < 0 is an error.
+	// BatchSize is the detection chunk: the streaming runtime pushes up to
+	// this many elements per call through the fused accelerator/checker
+	// batch kernels, amortising per-call overhead, and re-executes the
+	// chunk's fired elements before committing it. Process gathers a chunk
+	// from whatever is already queued and never waits for more, so a
+	// trickling producer still sees per-element behaviour. System.Run chunks
+	// each invocation the same way. 0 uses 1 (the scalar path, bit-identical
+	// to the pre-batching runtime); < 0 is an error.
 	BatchSize int
-	// RecoveryQueueCap bounds the recovery queue; <= 0 uses 64.
+	// RecoveryQueueCap bounds System.Run's modelled recovery queue (the
+	// hardware queue of Figure 4 that pipeline.Simulate prices); <= 0 uses
+	// 64.
 	RecoveryQueueCap int
-	// RecoveryDeadline bounds one recovery re-execution in the streaming
-	// runtime: a job exceeding it commits the approximate output with the
-	// Degraded flag instead of blocking the merger. <= 0 disables the
-	// deadline (a hung kernel then stalls its worker — only safe when
+	// RecoveryDeadline bounds one exact re-execution in the streaming
+	// runtime: an element exceeding it commits the approximate output with
+	// the Degraded flag instead of stalling its chunk. <= 0 disables the
+	// deadline (a hung kernel then stalls the stream — only safe when
 	// every kernel provably terminates).
 	RecoveryDeadline time.Duration
-	// MaxInFlight bounds the number of stream elements admitted by
-	// detection but not yet delivered by the merger, which in turn bounds
-	// the merger's reorder buffer when recovery is slow. <= 0 uses
-	// 4 * RecoveryQueueCap.
-	MaxInFlight int
 	// Metrics receives the runtime's observability stream (counters,
-	// queue-depth gauges, latency histograms); nil allocates a private
-	// registry, retrievable via System.Metrics / Stream.Metrics.
+	// gauges, latency histograms); nil allocates a private registry,
+	// retrievable via System.Metrics / Stream.Metrics.
 	Metrics *obs.Registry
 	// EnergyModel supplies the analytical constants; the zero value uses
 	// the calibrated defaults.
@@ -112,9 +108,6 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.RecoveryDeadline < 0 {
 		return nil, fmt.Errorf("core: negative recovery deadline %v", cfg.RecoveryDeadline)
 	}
-	if cfg.MaxInFlight < 0 {
-		return nil, fmt.Errorf("core: negative in-flight window %d", cfg.MaxInFlight)
-	}
 	if cfg.BatchSize < 0 {
 		return nil, fmt.Errorf("core: negative batch size %d", cfg.BatchSize)
 	}
@@ -126,9 +119,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.RecoveryQueueCap <= 0 {
 		cfg.RecoveryQueueCap = 64
-	}
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = 4 * cfg.RecoveryQueueCap
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
@@ -239,7 +229,7 @@ func (s *System) Run(d nn.Dataset) (*Report, error) {
 			s.cfg.Tuner.Observe(InvocationStats{
 				Elements:       end - start,
 				Fixed:          fixedThisInv,
-				CPUUtilisation: s.estimateUtilisation(fixedThisInv, end-start),
+				CPUUtilisation: EstimateUtilisation(s.cfg.Accel, spec.Cost, s.model, fixedThisInv, end-start),
 			})
 		}
 	}
@@ -272,14 +262,16 @@ func drainRecovery(q *accel.Queue[accel.RecoveryBit], rep *Report, flags []bool)
 	}
 }
 
-// estimateUtilisation approximates the recovery CPU's utilisation within one
-// invocation for the Quality-mode tuner.
-func (s *System) estimateUtilisation(fixed, elements int) float64 {
+// EstimateUtilisation approximates the recovery CPU's utilisation while the
+// accelerator runs elements invocations and the CPU re-executes fired of
+// them: the CPU's re-execution cycles over the accelerator's cycles, clamped
+// to 1. It is the Quality-mode tuner's InvocationStats.CPUUtilisation.
+func EstimateUtilisation(acc exec.Executor, cost bench.CostModel, m energy.Model, fired, elements int) float64 {
 	if elements == 0 {
 		return 0
 	}
-	accelCycles := s.cfg.Accel.CyclesPerInvocation() * float64(elements)
-	cpuCycles := energy.KernelCPULatency(s.cfg.Spec.Cost, s.model) * float64(fixed)
+	accelCycles := acc.CyclesPerInvocation() * float64(elements)
+	cpuCycles := energy.KernelCPULatency(cost, m) * float64(fired)
 	if accelCycles <= 0 {
 		return 1
 	}

@@ -89,7 +89,7 @@ func runScalarRef(s *System, d nn.Dataset) (*Report, error) {
 			s.cfg.Tuner.Observe(InvocationStats{
 				Elements:       end - start,
 				Fixed:          fixedThisInv,
-				CPUUtilisation: s.estimateUtilisation(fixedThisInv, end-start),
+				CPUUtilisation: EstimateUtilisation(s.cfg.Accel, spec.Cost, s.model, fixedThisInv, end-start),
 			})
 		}
 	}

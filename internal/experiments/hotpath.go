@@ -23,8 +23,8 @@ import (
 // atomically (temp + rename, see writeBenchJSON) and stamped with the git
 // commit, toolchain and machine shape that produced the numbers.
 //
-// Like "stream" and "serve" this experiment reports wall-clock numbers, so
-// it is excluded from `-exp all` and the JSON it writes is a per-machine
+// Like "serve" this experiment reports wall-clock numbers, so it is
+// excluded from `-exp all` and the JSON it writes is a per-machine
 // baseline, not part of the canonical results. The Context and benchmark
 // arguments are unused: the hot path is measured on the acceptance
 // topology (6->8->4->1), not on a trained benchmark accelerator.

@@ -25,9 +25,9 @@ import (
 // per-tenant quality-drift verdicts, the flight recorder's retention, and
 // the admitted-request latency distribution — all from the server's own
 // observability surface (metrics snapshot, tenant listing, trace dump), the
-// same signals an operator scrapes in production. Like "stream" it is
-// registered in rumba-bench but excluded from `-exp all`: latencies and the
-// exact shed count are wall-clock and machine-dependent.
+// same signals an operator scrapes in production. It is registered in
+// rumba-bench but excluded from `-exp all`: latencies and the exact shed
+// count are wall-clock and machine-dependent.
 func ExpServe(c *Context, benchmark string) (*Table, error) {
 	if benchmark == "" {
 		benchmark = "fft"

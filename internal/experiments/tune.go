@@ -18,7 +18,7 @@ import (
 // exp-datapath and fixed-datapath survivors at batch >= 64 — the regime
 // where the Q16.16 integer path should win on ns/element.
 //
-// Like "stream", "serve" and "hotpath" this experiment reports wall-clock
+// Like "serve" and "hotpath" this experiment reports wall-clock
 // numbers, so it is excluded from `-exp all` and its JSON is a per-machine
 // baseline, not part of the canonical results.
 func ExpTune(c *Context, benchmark string) (*Table, error) {

@@ -39,8 +39,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level (queue depth, in-flight window, tuner
 // threshold). It additionally tracks its high-water mark, which is what a
-// bounded-resource assertion ("the pending map never exceeded MaxInFlight")
-// needs after the fact.
+// bounded-resource assertion ("the admission queue never held more than
+// QueueCap requests") needs after the fact.
 type Gauge struct {
 	bits    atomic.Uint64 // float64 bits of the current value
 	maxBits atomic.Uint64 // float64 bits of the high-water mark

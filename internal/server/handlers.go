@@ -181,16 +181,10 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	req := invokeRequestPool.Get().(*InvokeRequest)
 	// Zero the scalar fields but keep the Inputs capacity for the decoder.
 	*req = InvokeRequest{Inputs: req.Inputs[:0]}
-	// The pooled request may only be recycled when nothing can still read
-	// its rows: a cancelled pipeline's detection goroutine can briefly
-	// outlive ProcessSlice, so error paths after submission drop the
-	// request to the GC instead.
-	recycle := true
-	defer func() {
-		if recycle {
-			invokeRequestPool.Put(req)
-		}
-	}()
+	// Nothing reads the request's rows after the handler returns: the
+	// stream has finished with them once ProcessSlice returns, cancelled or
+	// not.
+	defer invokeRequestPool.Put(req)
 	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	if err := json.NewDecoder(body).Decode(req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -307,9 +301,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	<-j.done
 	s.hLatency.Observe(float64(time.Since(start)))
 	if j.err != nil {
-		// A failed (typically cancelled) pipeline may still be tearing
-		// down with references to req.Inputs rows.
-		recycle = false
 		tr.SetFlag(trace.FlagError)
 		if errors.Is(j.err, context.DeadlineExceeded) || errors.Is(j.err, context.Canceled) {
 			s.mDeadline.Inc()

@@ -6,9 +6,11 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rumba/internal/core"
 	"rumba/internal/energy"
 )
 
@@ -36,6 +38,50 @@ func TestInvokeDeadlineExceeded(t *testing.T) {
 	}
 	if got := s.mDeadline.Value(); got != 1 {
 		t.Fatalf("%s = %v, want 1", MetricDeadline, got)
+	}
+}
+
+// taggedExec is slowExec that also counts its calls for inputs valued at
+// least 1000.
+type taggedExec struct {
+	slowExec
+	tagged atomic.Int64
+}
+
+func (e *taggedExec) Invoke(in []float64) []float64 {
+	if in[0] >= 1000 {
+		e.tagged.Add(1)
+	}
+	return e.slowExec.Invoke(in)
+}
+
+// TestInvokeAfterDeadlineReusesTenant: a tenant's request whose deadline
+// expires mid-stream gets a 504, and the same tenant's next request, sent
+// at once, succeeds. Once the 504 is written nothing of the expired request
+// may still run on the tenant's accelerator, checker or tuner: under -race
+// that is a data race with the next request, and the accelerator counts
+// calls for the expired request's inputs that come late.
+func TestInvokeAfterDeadlineReusesTenant(t *testing.T) {
+	ex := &taggedExec{slowExec: slowExec{time.Millisecond}}
+	_, hs := newTestServer(t, Options{BatchSize: 4, InvocationSize: 4,
+		Defaults: TunerDefaults{Mode: core.ModeEnergy, Target: 0.5}}, synthKernel("synth", ex))
+
+	expired := make([][]float64, 200)
+	for i := range expired {
+		expired[i] = in(1000+float64(i), 0.75)
+	}
+	status, _, msg := invoke(t, hs.URL, InvokeRequest{Tenant: "acme", Kernel: "synth", Inputs: expired, DeadlineMs: 20})
+	if status != http.StatusGatewayTimeout {
+		t.Fatalf("expiring request: status %d (%s), want 504", status, msg)
+	}
+	calls := ex.tagged.Load()
+	status, resp, msg := invoke(t, hs.URL, InvokeRequest{Tenant: "acme", Kernel: "synth",
+		Inputs: [][]float64{in(1, 0.75), in(2, 0)}})
+	if status != http.StatusOK || resp.Elements != 2 {
+		t.Fatalf("next request: status %d, %d elements (%s), want 200 with 2", status, resp.Elements, msg)
+	}
+	if late := ex.tagged.Load() - calls; late != 0 {
+		t.Fatalf("%d accelerator calls for the expired request came after its 504", late)
 	}
 }
 

@@ -80,7 +80,6 @@ type Tenants struct {
 
 	defaults       TunerDefaults
 	invocationSize int
-	model          energy.Model
 	drift          DriftConfig
 	// frontier, when non-nil, drives per-tenant operating-point selection
 	// (see tune.go).
@@ -97,7 +96,6 @@ func NewTenants(defaults TunerDefaults, invocationSize int) *Tenants {
 		m:              make(map[TenantKey]*tenant),
 		defaults:       defaults,
 		invocationSize: invocationSize,
-		model:          energy.DefaultModel(),
 		drift:          DriftConfig{}.withDefaults(),
 	}
 }
@@ -206,28 +204,10 @@ func (t *Tenants) noteResults(ts *tenant, cost bench.CostModel, results []core.S
 		ts.tuner.Observe(core.InvocationStats{
 			Elements:       ts.carryElements,
 			Fixed:          ts.carryFired,
-			CPUUtilisation: t.utilisation(ts, cost, ts.carryFired, ts.carryElements),
+			CPUUtilisation: core.EstimateUtilisation(ts.accel, cost, energy.DefaultModel(), ts.carryFired, ts.carryElements),
 		})
 		ts.carryElements, ts.carryFired = 0, 0
 	}
-}
-
-// utilisation estimates the recovery CPU's utilisation over the carried
-// window, mirroring the batch runtime's estimate: CPU re-execution cycles
-// over accelerator cycles, clamped to 1.
-func (t *Tenants) utilisation(ts *tenant, cost bench.CostModel, fired, elements int) float64 {
-	if elements == 0 {
-		return 0
-	}
-	accelCycles := ts.accel.CyclesPerInvocation() * float64(elements)
-	if accelCycles <= 0 {
-		return 1
-	}
-	u := energy.KernelCPULatency(cost, t.model) * float64(fired) / accelCycles
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // TenantInfo is the ops-facing view of one live tenant (the /v1/tenants
