@@ -59,7 +59,14 @@
 #                                  TOQ-violating tenant through the cluster
 #                                  alert view, and scrapes the router's
 #                                  federated /metrics through the strict
-#                                  exposition parser
+#                                  exposition parser; it also checks that a
+#                                  burn-rate series fed once per request
+#                                  still sees its fast window, that a traced
+#                                  request stays within its span and
+#                                  allocation bound (one recovery span per
+#                                  chunk, not per fired element), and the
+#                                  chunk-level recovery span of a served
+#                                  trace, fixed and degraded
 #  11. coverage floors             statement coverage of the hardened runtime
 #                                  (internal/core), the observability layer
 #                                  (internal/obs, internal/trace), the
@@ -151,8 +158,11 @@ fi
 echo "==> cluster smoke (3-node harness + router: kill-a-node failover, rebalance state handoff, conformance through the router)"
 go test -count=1 -run 'TestClusterKillNodeLosesNoTenant|TestClusterDriftStateSurvivesPlannedDrain|TestClusterRebalancePreservesTunerAndDriftState|TestClusterConformanceRound' ./internal/cluster/
 
-echo "==> cluster observability smoke (cross-node trace stitch, SLO burn-rate paging, federated /metrics through the strict parser)"
+echo "==> cluster observability smoke (cross-node trace stitch, SLO burn-rate paging, federated /metrics through the strict parser, per-request SLO feeding, traced-request bounds, chunk-level recovery spans)"
 go test -count=1 -run 'TestClusterStitchedFailoverTrace|TestClusterSLOAlertsAndNodeDeath|TestClusterFederatedMetricsRoundTrip' ./internal/cluster/
+go test -count=1 -run 'TestPerRequestFeedingKeepsFastWindow' ./internal/slo/
+go test -count=1 -run 'TestTracedProcessSliceBounds' ./internal/core/
+go test -count=1 -run 'TestTraceEndToEnd' ./internal/server/
 
 echo "==> coverage floors (internal/core >= 85%, internal/obs >= 85%, internal/trace >= 85%, internal/server >= 80%, internal/analysis >= 80%, internal/pkg >= 85%, internal/bundle >= 85%, internal/cluster >= 85%, internal/tune >= 85%, internal/slo >= 85%)"
 check_cover() {

@@ -107,6 +107,9 @@ type nodeHealth struct {
 	failures int // consecutive
 	lastErr  string
 	probes   int64
+	// forwards and failovers are the member's cluster.forwards and
+	// cluster.failovers counters, resolved on first use (countForward).
+	forwards, failovers *obs.Counter
 }
 
 // Membership is the static member set plus its probed health. Static means
@@ -188,6 +191,28 @@ func (m *Membership) URL(name string) string {
 		return h.node.URL
 	}
 	return ""
+}
+
+// countForward counts one forward attempt on a member: in its
+// cluster.forwards counter when the member answered, in cluster.failovers
+// when the router had to move on. The counter is resolved in the registry on
+// the member's first such attempt and then kept with the member, so the
+// router's per-request path skips obs.Labeled and the registry lock.
+func (m *Membership) countForward(name string, failover bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	h, ok := m.nodes[name]
+	if !ok {
+		return // the router forwards only to members of its own ring
+	}
+	c, metric := &h.forwards, MetricForwards
+	if failover {
+		c, metric = &h.failovers, MetricFailovers
+	}
+	if *c == nil {
+		*c = m.metrics.Counter(obs.Labeled(metric, "node", name))
+	}
+	(*c).Inc()
 }
 
 // State returns a member's probed health (NodeDown for unknown members).

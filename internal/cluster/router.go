@@ -357,7 +357,7 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, tenant, me
 		if err == nil && !retryableStatus(status) {
 			span.SetInt("status", int64(status))
 			span.End()
-			rt.metrics.Counter(obs.Labeled(MetricForwards, "node", name)).Inc()
+			membership.countForward(name, false)
 			return
 		}
 		if err != nil {
@@ -368,7 +368,7 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, tenant, me
 			lastErr = fmt.Errorf("node %s answered %d", name, status)
 		}
 		span.End()
-		rt.metrics.Counter(obs.Labeled(MetricFailovers, "node", name)).Inc()
+		membership.countForward(name, true)
 		if ctx.Err() != nil {
 			// The request's deadline expired: stop failing over, tell the
 			// client the truth.

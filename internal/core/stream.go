@@ -355,9 +355,15 @@ func (st *Stream) runChunk(ctx context.Context, res []StreamResult, ins [][]floa
 // worker, otherwise on at most st.workers goroutines that have all exited
 // when it returns. Each element's result slot is written by exactly one
 // goroutine. Once ctx is cancelled the remaining elements are skipped: the
-// chunk will not be committed.
+// chunk will not be committed. The chunk's recovery is one exec.recover
+// span, whose counts are aggregated from the result slots after the join.
 func (st *Stream) recoverFired(ctx context.Context, res []StreamResult, ins [][]float64) {
 	fired := st.fired
+	if len(fired) == 0 {
+		return
+	}
+	sp := st.span.Start("exec.recover")
+	defer st.traceRecovery(sp, res)
 	k := min(st.workers, len(fired))
 	if k <= 1 {
 		for _, i := range fired {
@@ -386,23 +392,51 @@ func (st *Stream) recoverFired(ctx context.Context, res []StreamResult, ins [][]
 	wg.Wait()
 }
 
+// traceRecovery records the chunk's recovery on its exec.recover span: the
+// elements fired, fixed and degraded, and the sum and maximum of the
+// observed errors of the fixed ones. A degraded element flags the trace.
+// With tracing off sp is the zero ref and nothing is aggregated.
+func (st *Stream) traceRecovery(sp trace.SpanRef, res []StreamResult) {
+	if !sp.Valid() {
+		return
+	}
+	var fixed, degraded int64
+	var errSum, errMax float64
+	for _, i := range st.fired {
+		r := &res[i]
+		if r.Degraded {
+			degraded++
+		}
+		if r.Fixed {
+			fixed++
+		}
+		if r.Observed {
+			errSum += r.ObservedError
+			errMax = max(errMax, r.ObservedError)
+		}
+	}
+	sp.SetInt("fired", int64(len(st.fired)))
+	sp.SetInt("fixed", fixed)
+	sp.SetInt("degraded", degraded)
+	sp.SetFloat("observed_error_sum", errSum)
+	sp.SetFloat("observed_error_max", errMax)
+	if degraded > 0 {
+		sp.AddFlag(trace.FlagDegraded)
+	}
+	sp.End()
+}
+
 // recoverOne re-executes one fired element with panic isolation and the
 // per-element deadline, and updates its detected result r in place: the
 // exact output (Fixed) when re-execution succeeds, the approximate output
 // (Degraded) when the kernel panics, overruns Config.RecoveryDeadline, or
 // the stream is cancelled mid-call.
 func (st *Stream) recoverOne(ctx context.Context, r *StreamResult, in []float64) {
-	sp := st.span.Start("exec.recover")
-	sp.SetInt("index", int64(r.Index))
-	sp.SetFloat("predicted_error", r.PredictedError)
 	start := time.Now()
 	exact, ok := st.runExact(ctx, in)
 	st.hRecover.Observe(float64(time.Since(start)))
 	if !ok {
 		st.mDegraded.Inc()
-		sp.SetStr("outcome", "degraded")
-		sp.AddFlag(trace.FlagDegraded)
-		sp.End()
 		r.Degraded = true
 		return
 	}
@@ -411,9 +445,6 @@ func (st *Stream) recoverOne(ctx context.Context, r *StreamResult, in []float64)
 	// ground truth: score the approximate output against it. This observed
 	// error calibrates the checker and feeds the drift monitor upstream.
 	obsErr := quality.ElementError(st.sys.cfg.Spec.Metric, exact, r.Output, st.sys.cfg.Spec.Scale)
-	sp.SetStr("outcome", "fixed")
-	sp.SetFloat("observed_error", obsErr)
-	sp.End()
 	r.Output, r.Fixed, r.ObservedError, r.Observed = exact, true, obsErr, true
 }
 

@@ -13,6 +13,7 @@ import (
 	"rumba/internal/energy"
 	"rumba/internal/obs"
 	"rumba/internal/predictor"
+	"rumba/internal/trace"
 )
 
 // cancelAt is both the accelerator and the checker of the cancellation
@@ -258,6 +259,77 @@ func TestProcessSliceAllocs(t *testing.T) {
 			if probe.most > base {
 				t.Errorf("%s, %d elements: %d goroutines ran during the accelerator call, %d before the request",
 					c.name, n, probe.most, base)
+			}
+		}
+	}
+}
+
+// TestTracedProcessSliceBounds bounds the enabled tracing path: the request
+// of TestProcessSliceAllocs with a fresh trace in its context. Recovery is
+// one exec.recover span per chunk that fired, so a traced request records
+// at most five spans per chunk plus the root, with one or four recovery
+// workers, and allocates, the trace's own allocations included, a fixed
+// handful plus the exact kernel's output per fired element, whatever its
+// fire count.
+func TestTracedProcessSliceBounds(t *testing.T) {
+	spec, acc, _, test := buildRuntime(t, "fft", 300)
+	reg := obs.NewRegistry()
+	for _, c := range []struct {
+		name string
+		pred float64
+	}{{"never-fires", 0}, {"always-fires", 1}} {
+		tuner, err := NewTuner(ModeTOQ, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Spec: spec, Accel: acc, Checker: &constantChecker{value: c.pred}, Tuner: tuner,
+			BatchSize: 64, Metrics: reg}
+		for _, n := range []int{8, 256} {
+			inputs := test.Inputs[:n]
+			run := func(workers int) *trace.Trace {
+				tr := trace.New("invoke", 0)
+				ctx := trace.NewContext(context.Background(), tr.Root())
+				st, err := NewStream(cfg, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := st.ProcessSlice(ctx, inputs); err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			allocs := testing.AllocsPerRun(20, func() { run(1) })
+			fires := 0
+			if c.pred > tuner.Threshold {
+				fires = n
+			}
+			if limit := float64(24 + fires); allocs > limit {
+				t.Errorf("%s, %d elements: %v allocations per traced request, want at most %v", c.name, n, allocs, limit)
+			}
+			// Four recovery workers record the same spans: the counts are
+			// aggregated after the workers join.
+			for _, workers := range []int{1, 4} {
+				chunks := (n + cfg.BatchSize - 1) / cfg.BatchSize
+				snap := run(workers).Snapshot()
+				if got, limit := len(snap.Spans), 5*chunks+1; got > limit || snap.DroppedSpans != 0 {
+					t.Errorf("%s, %d elements, %d workers: %d spans (%d dropped), want at most %d",
+						c.name, n, workers, got, snap.DroppedSpans, limit)
+				}
+				recovered := 0
+				for _, sp := range snap.Spans {
+					if sp.Name == "exec.recover" {
+						fired, _ := sp.Attrs["fired"].(int64)
+						fixed, _ := sp.Attrs["fixed"].(int64)
+						if fixed != fired {
+							t.Errorf("%s, %d elements, %d workers: recover span %v", c.name, n, workers, sp.Attrs)
+						}
+						recovered += int(fired)
+					}
+				}
+				if recovered != fires {
+					t.Errorf("%s, %d elements, %d workers: exec.recover spans count %d fired elements, want %d",
+						c.name, n, workers, recovered, fires)
+				}
 			}
 		}
 	}

@@ -39,7 +39,8 @@ import (
 
 // Drift metric names, published per tenant×kernel as labelled gauges.
 const (
-	// MetricDriftState gauges the alert level: 0 ok, 1 drifting, 2 violating.
+	// MetricDriftState gauges the alert level, the DriftState value: 0 ok,
+	// 1 drifting, 2 violating.
 	MetricDriftState = "drift.state"
 	// MetricDriftEstimate gauges the last window's mean delivered-error
 	// estimate.
@@ -52,18 +53,6 @@ const (
 	// MetricDriftViolations gauges the lifetime violating-window total.
 	MetricDriftViolations = "drift.violations"
 )
-
-// driftStateValue maps a DriftInfo.State string to the numeric gauge level.
-func driftStateValue(state string) int {
-	switch state {
-	case "drifting":
-		return 1
-	case "violating":
-		return 2
-	default:
-		return 0
-	}
-}
 
 // DriftConfig configures the per-tenant quality-drift monitor.
 type DriftConfig struct {

@@ -258,28 +258,23 @@ func (s *Server) execute(j *job) {
 	ts.noteChunks(j.kernel, len(results), batch, elapsed)
 	s.feedSLO(ts, j.kernel)
 	if ts.tuner != nil {
-		s.metrics.Gauge(obs.Labeled(core.MetricThreshold,
-			"tenant", ts.key.Tenant, "kernel", ts.key.Kernel)).Set(ts.tuner.Threshold)
+		s.gauge(ts, gaugeThreshold).Set(ts.tuner.Threshold)
 	}
 	var sum float64
 	for _, r := range results {
 		sum += r.PredictedError
 	}
 	if len(results) > 0 {
-		s.metrics.Gauge(obs.Labeled("serve.predicted_error",
-			"tenant", ts.key.Tenant, "kernel", ts.key.Kernel)).Set(sum / float64(len(results)))
+		s.gauge(ts, gaugePredictedError).Set(sum / float64(len(results)))
 	}
 	if ts.point != nil && len(results) > 0 {
-		label := func(name string) *obs.Gauge {
-			return s.metrics.Gauge(obs.Labeled(name, "tenant", ts.key.Tenant, "kernel", ts.key.Kernel))
-		}
-		label(MetricTuneSelected).Set(float64(ts.pointIndex))
-		label(MetricTunePredictedNs).Set(ts.point.NsPerElem)
-		label(MetricTuneDeliveredNs).Set(float64(elapsed.Nanoseconds()) / float64(len(results)))
+		s.gauge(ts, gaugeTuneSelected).Set(float64(ts.pointIndex))
+		s.gauge(ts, gaugeTunePredictedNs).Set(ts.point.NsPerElem)
+		s.gauge(ts, gaugeTuneDeliveredNs).Set(float64(elapsed.Nanoseconds()) / float64(len(results)))
 	}
-	if info := ts.drift.info(); info != nil {
-		s.publishDrift(ts.key, info)
-		if info.State == "violating" {
+	if d := ts.drift; d != nil {
+		s.publishDrift(ts)
+		if d.state == DriftViolating {
 			streamSpan.AddFlag(trace.FlagViolating)
 		}
 	}
@@ -288,16 +283,25 @@ func (s *Server) execute(j *job) {
 
 // publishDrift mirrors one tenant's drift-monitor state into the labelled
 // drift.* gauges so a scraper sees quality alerts without polling the tenant
-// API.
-func (s *Server) publishDrift(key TenantKey, info *DriftInfo) {
-	label := func(name string) *obs.Gauge {
-		return s.metrics.Gauge(obs.Labeled(name, "tenant", key.Tenant, "kernel", key.Kernel))
+// API. Caller holds ts.mu and ts.drift is non-nil.
+func (s *Server) publishDrift(ts *tenant) {
+	d := ts.drift
+	s.gauge(ts, gaugeDriftState).Set(float64(d.state))
+	s.gauge(ts, gaugeDriftEstimate).Set(d.lastEstimate)
+	s.gauge(ts, gaugeDriftObserved).Set(d.lastObserved)
+	s.gauge(ts, gaugeDriftWindows).Set(float64(d.windows))
+	s.gauge(ts, gaugeDriftViolations).Set(float64(d.violations))
+}
+
+// gauge returns one of the tenant's labelled gauges, resolving it in the
+// registry on its first publish, so later requests skip obs.Labeled and the
+// registry lock. Caller holds ts.mu.
+func (s *Server) gauge(ts *tenant, g tenantGauge) *obs.Gauge {
+	if ts.gauges[g] == nil {
+		ts.gauges[g] = s.metrics.Gauge(obs.Labeled(tenantGaugeNames[g],
+			"tenant", ts.key.Tenant, "kernel", ts.key.Kernel))
 	}
-	label(MetricDriftState).Set(float64(driftStateValue(info.State)))
-	label(MetricDriftEstimate).Set(info.LastEstimate)
-	label(MetricDriftObserved).Set(info.LastObserved)
-	label(MetricDriftWindows).Set(float64(info.Windows))
-	label(MetricDriftViolations).Set(float64(info.Violations))
+	return ts.gauges[g]
 }
 
 // shed produces the degraded answer for a request the admission controller

@@ -9,6 +9,7 @@ import (
 	"rumba/internal/core"
 	"rumba/internal/energy"
 	"rumba/internal/exec"
+	"rumba/internal/obs"
 	"rumba/internal/predictor"
 	"rumba/internal/tune"
 )
@@ -70,6 +71,41 @@ type tenant struct {
 	// by mu like the stats above.
 	reqTotal, reqShed     int64
 	chunkTotal, chunkSlow int64
+
+	// gauges caches the tenant's labelled gauges (Server.gauge), each
+	// resolved on its first publish; they go away with the tenant.
+	gauges [numTenantGauges]*obs.Gauge
+}
+
+// tenantGauge indexes a tenant's labelled gauges, which are named by
+// tenantGaugeNames and labelled by tenant and kernel.
+type tenantGauge int
+
+const (
+	gaugeThreshold tenantGauge = iota
+	gaugePredictedError
+	gaugeTuneSelected
+	gaugeTunePredictedNs
+	gaugeTuneDeliveredNs
+	gaugeDriftState
+	gaugeDriftEstimate
+	gaugeDriftObserved
+	gaugeDriftWindows
+	gaugeDriftViolations
+	numTenantGauges
+)
+
+var tenantGaugeNames = [numTenantGauges]string{
+	gaugeThreshold:       core.MetricThreshold,
+	gaugePredictedError:  "serve.predicted_error",
+	gaugeTuneSelected:    MetricTuneSelected,
+	gaugeTunePredictedNs: MetricTunePredictedNs,
+	gaugeTuneDeliveredNs: MetricTuneDeliveredNs,
+	gaugeDriftState:      MetricDriftState,
+	gaugeDriftEstimate:   MetricDriftEstimate,
+	gaugeDriftObserved:   MetricDriftObserved,
+	gaugeDriftWindows:    MetricDriftWindows,
+	gaugeDriftViolations: MetricDriftViolations,
 }
 
 // Tenants keeps one live tenant per tenant×kernel and creates them on first

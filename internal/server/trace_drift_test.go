@@ -123,60 +123,92 @@ func TestDriftConfigDefaults(t *testing.T) {
 
 // TestTraceEndToEnd is the tentpole acceptance path: a request served with
 // tracing enabled yields a retrievable trace containing admission, stream
-// chunk, accelerator invoke, merge, and recovery spans.
+// chunk, accelerator invoke, merge, and recovery spans. Recovery is traced
+// at chunk granularity: one exec.recover span per chunk that fired, carrying
+// the chunk's fired, fixed and degraded counts and its observed-error
+// sample; a degraded element flags the whole trace.
 func TestTraceEndToEnd(t *testing.T) {
-	_, hs := newTestServer(t, Options{TraceCapacity: 16, BatchSize: 4},
-		synthKernel("synth", synthExec{}))
-
 	inputs := make([][]float64, 8)
 	for i := range inputs {
 		score := 0.0
 		if i == 3 {
-			score = 0.75 // one element fires and is recovered exactly
+			score = 0.75 // one element of chunk 0 fires
 		}
 		inputs[i] = in(float64(i), score)
 	}
-	status, resp, _ := invoke(t, hs.URL, InvokeRequest{Tenant: "acme", Kernel: "synth", Inputs: inputs})
-	if status != http.StatusOK || resp.Fixed != 1 {
-		t.Fatalf("invoke: status %d fixed %d", status, resp.Fixed)
+	serve := func(t *testing.T, k *Kernel) (InvokeResponse, trace.Snapshot, trace.SpanSnapshot) {
+		t.Helper()
+		_, hs := newTestServer(t, Options{TraceCapacity: 16, BatchSize: 4}, k)
+		status, resp, _ := invoke(t, hs.URL, InvokeRequest{Tenant: "acme", Kernel: "synth", Inputs: inputs})
+		if status != http.StatusOK {
+			t.Fatalf("invoke: status %d", status)
+		}
+		var dump trace.Dump
+		getJSON(t, hs.URL+"/debug/rumba/traces", http.StatusOK, &dump)
+		if len(dump.Traces) != 1 {
+			t.Fatalf("recorded %d traces, want 1", len(dump.Traces))
+		}
+		tr := dump.Traces[0]
+		spans := map[string]int{}
+		var rec trace.SpanSnapshot
+		for _, sp := range tr.Spans {
+			spans[sp.Name]++
+			if sp.Name == "exec.recover" {
+				rec = sp
+			}
+		}
+		for _, want := range []string{"invoke", "admission", "stream", "stream.chunk", "accel.invoke", "exec.recover", "merge.commit"} {
+			if spans[want] == 0 {
+				t.Fatalf("trace lacks %q span; got %v", want, spans)
+			}
+		}
+		// 8 elements at BatchSize 4: two chunks, each with its own
+		// accelerator invoke, and one recovery span for the chunk that fired.
+		if spans["stream.chunk"] != 2 || spans["accel.invoke"] != 2 || spans["exec.recover"] != 1 {
+			t.Fatalf("chunking spans = %v, want 2 chunks / 2 invokes / 1 recovery", spans)
+		}
+		// Root span carries the request identity.
+		root := tr.Spans[0]
+		if root.Name != "invoke" || root.Attrs["tenant"] != "acme" || root.Attrs["kernel"] != "synth" {
+			t.Fatalf("root span = %+v", root)
+		}
+		// JSON numbers decode as float64.
+		if rec.Attrs["fired"] != 1.0 {
+			t.Fatalf("recover span = %+v, want fired 1", rec)
+		}
+		return resp, tr, rec
 	}
 
-	var dump trace.Dump
-	getJSON(t, hs.URL+"/debug/rumba/traces", http.StatusOK, &dump)
-	if len(dump.Traces) != 1 {
-		t.Fatalf("recorded %d traces, want 1", len(dump.Traces))
-	}
-	tr := dump.Traces[0]
-	spans := map[string]int{}
-	for _, sp := range tr.Spans {
-		spans[sp.Name]++
-	}
-	for _, want := range []string{"invoke", "admission", "stream", "stream.chunk", "accel.invoke", "exec.recover", "merge.commit"} {
-		if spans[want] == 0 {
-			t.Fatalf("trace lacks %q span; got %v", want, spans)
+	t.Run("fixed", func(t *testing.T) {
+		resp, tr, rec := serve(t, synthKernel("synth", synthExec{}))
+		if resp.Fixed != 1 || len(tr.Flags) != 0 {
+			t.Fatalf("fixed %d, flags %v; want 1 fixed and an unflagged trace", resp.Fixed, tr.Flags)
 		}
-	}
-	// 8 elements at BatchSize 4: two chunks, each with its own accelerator
-	// invoke.
-	if spans["stream.chunk"] != 2 || spans["accel.invoke"] != 2 {
-		t.Fatalf("chunking spans = %v, want 2 chunks / 2 invokes", spans)
-	}
-	// Root span carries the request identity.
-	root := tr.Spans[0]
-	if root.Name != "invoke" || root.Attrs["tenant"] != "acme" || root.Attrs["kernel"] != "synth" {
-		t.Fatalf("root span = %+v", root)
-	}
-	// The recovery span recorded its outcome and ground-truth sample.
-	for _, sp := range tr.Spans {
-		if sp.Name == "exec.recover" {
-			if sp.Attrs["outcome"] != "fixed" {
-				t.Fatalf("recover span = %+v", sp)
-			}
-			if _, ok := sp.Attrs["observed_error"]; !ok {
-				t.Fatalf("recover span lacks observed_error: %+v", sp)
-			}
+		if rec.Attrs["fixed"] != 1.0 || rec.Attrs["degraded"] != 0.0 {
+			t.Fatalf("recover span = %+v, want fixed 1, degraded 0", rec)
 		}
-	}
+		// The one fixed element is the chunk's ground-truth sample.
+		sum, okSum := rec.Attrs["observed_error_sum"].(float64)
+		errMax, okMax := rec.Attrs["observed_error_max"].(float64)
+		if !okSum || !okMax || sum != errMax || sum <= 0 {
+			t.Fatalf("recover span = %+v, want one positive observed-error sample", rec)
+		}
+	})
+
+	t.Run("degraded", func(t *testing.T) {
+		k := synthKernel("synth", synthExec{})
+		k.Spec.Exact = func(in []float64) []float64 { panic("recovery unavailable") }
+		resp, tr, rec := serve(t, k)
+		if resp.DegradedElements != 1 {
+			t.Fatalf("degraded %d elements, want 1", resp.DegradedElements)
+		}
+		if !strings.Contains(strings.Join(tr.Flags, ","), "degraded") {
+			t.Fatalf("trace flags = %v, want degraded", tr.Flags)
+		}
+		if d, _ := rec.Attrs["degraded"].(float64); d < 1 || rec.Attrs["fixed"] != 0.0 {
+			t.Fatalf("recover span = %+v, want degraded >= 1, fixed 0", rec)
+		}
+	})
 }
 
 func TestTracesDisabledByDefault(t *testing.T) {

@@ -62,8 +62,9 @@ type Config struct {
 	// MinEvents is the minimum fast-window event total before a series can
 	// alert; below it the burn is noise (default 10).
 	MinEvents int64
-	// MaxSamples bounds each series' sample ring (default 720 — one hour at a
-	// 5s eval cadence).
+	// MaxSamples bounds each series' sample ring (default 720). Record keeps
+	// samples at least SlowWindow/MaxSamples apart (5s at the defaults), so
+	// the ring covers the whole slow window however often a series is fed.
 	MaxSamples int
 }
 
@@ -161,6 +162,14 @@ func (e *Engine) Record(k Key, target float64, good, bad int64, now time.Time) {
 			// under the existing timestamp.
 			s.samples[n-1] = sample{at: last.at, good: good, bad: bad}
 			return
+		} else if n > 1 && last.at.Sub(s.samples[n-2].at) < e.cfg.SlowWindow/time.Duration(e.cfg.MaxSamples) {
+			// The newest sample is still closer to its predecessor than
+			// SlowWindow/MaxSamples: the new reading replaces it, timestamp
+			// included, so a series fed per request keeps its ring spread
+			// over the slow window instead of holding only its last
+			// MaxSamples requests.
+			s.samples[n-1] = sample{at: now, good: good, bad: bad}
+			return
 		}
 	}
 	s.samples = append(s.samples, sample{at: now, good: good, bad: bad})
@@ -215,10 +224,16 @@ func (e *Engine) burnWindow(s *series, width time.Duration, now time.Time) Windo
 	}
 	latest := s.samples[len(s.samples)-1]
 	cut := now.Add(-width)
-	// Baseline: the newest sample at or before the window's left edge;
-	// when the whole series is inside the window (cold start), the implied
-	// zero reading at the series' birth.
+	// Baseline: the newest sample at or before the window's left edge.
+	// When every retained sample is inside the window, the implied zero
+	// reading at the series' birth if the series is younger than the window
+	// (cold start); otherwise the ring cap thinned the older readings (a
+	// spaced ring holds the slow window plus a reading or two), and the
+	// oldest retained one is the closest baseline left.
 	base := sample{at: s.born}
+	if s.born.Before(cut) {
+		base = s.samples[0]
+	}
 	for _, smp := range s.samples {
 		if smp.at.After(cut) {
 			break

@@ -174,6 +174,48 @@ func TestPruneKeepsBaselineAndCapsSamples(t *testing.T) {
 	}
 }
 
+// TestPerRequestFeedingKeepsFastWindow feeds one series per request, as the
+// serving layer does: a healthy hour at 10 readings/s, then five minutes in
+// which every element misses. The fast window must burn at nearly 1/0.05 =
+// 20. A ring holding only the last MaxSamples readings finds no baseline
+// inside either window and reports the lifetime fraction instead: 3000 bad
+// of 39000 elements, a burn of 1.54.
+func TestPerRequestFeedingKeepsFastWindow(t *testing.T) {
+	e := New(Config{})
+	k := key(BudgetTOQ)
+	const perSecond = 10
+	now := t0
+	var good, bad int64
+	feed := func(seconds int, miss bool) {
+		for range seconds * perSecond {
+			if miss {
+				bad++
+			} else {
+				good++
+			}
+			now = now.Add(time.Second / perSecond)
+			e.Record(k, 0.05, good, bad, now)
+		}
+	}
+	feed(3600, false)
+	feed(300, true)
+	a := e.Evaluate(now)[0]
+	if a.Fast.Burn < 19.5 {
+		t.Fatalf("fast burn %.2f after five all-miss minutes, want about 20: %s", a.Fast.Burn, a)
+	}
+	// The slow window holds 55 healthy minutes and the 5 bad ones: 3000 bad
+	// of 36000, a burn of 1.67.
+	if a.Slow.Burn < 1.6 || a.Slow.Burn > 1.75 {
+		t.Fatalf("slow burn %.2f, want about 1.67: %s", a.Slow.Burn, a)
+	}
+	e.mu.Lock()
+	n := len(e.series[k].samples)
+	e.mu.Unlock()
+	if n > e.Config().MaxSamples {
+		t.Fatalf("series holds %d samples, cap %d", n, e.Config().MaxSamples)
+	}
+}
+
 func TestIgnoredRecords(t *testing.T) {
 	var nilE *Engine
 	nilE.Record(key(BudgetTOQ), 0.05, 1, 1, at(0)) // must not panic

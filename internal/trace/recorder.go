@@ -57,21 +57,23 @@ func (t *Trace) Snapshot() Snapshot {
 		Spans:        make([]SpanSnapshot, len(t.spans)),
 	}
 	for i, sp := range t.spans {
-		out := SpanSnapshot{ID: sp.ID, Parent: sp.Parent, Name: sp.Name, Start: sp.Start, End: sp.End}
-		if len(sp.Attrs) > 0 {
-			out.Attrs = make(map[string]any, len(sp.Attrs))
-			for _, a := range sp.Attrs {
-				switch a.kind {
-				case attrStr:
-					out.Attrs[a.Key] = a.str
-				case attrInt:
-					out.Attrs[a.Key] = a.i
-				case attrFloat:
-					out.Attrs[a.Key] = a.num
-				}
-			}
+		s.Spans[i] = SpanSnapshot{ID: sp.ID, Parent: sp.Parent, Name: sp.Name, Start: sp.Start, End: sp.End}
+	}
+	// Table order is write order, so a key set twice on one span keeps its
+	// last value.
+	for _, a := range t.attrs {
+		out := &s.Spans[a.Span-1]
+		if out.Attrs == nil {
+			out.Attrs = make(map[string]any)
 		}
-		s.Spans[i] = out
+		switch a.kind {
+		case attrStr:
+			out.Attrs[a.Key] = a.str
+		case attrInt:
+			out.Attrs[a.Key] = a.i
+		case attrFloat:
+			out.Attrs[a.Key] = a.num
+		}
 	}
 	return s
 }

@@ -73,10 +73,13 @@ const (
 	attrFloat
 )
 
-// Attr is one span attribute. Values are stored unboxed (string or numeric
-// field by kind) so setting an attribute on a live span never allocates an
-// interface; boxing happens only when a trace is dumped as JSON.
+// Attr is one span attribute: an entry of its trace's attribute table,
+// naming the span it belongs to. Values are stored unboxed (string or
+// numeric field by kind) so setting an attribute on a live span never
+// allocates an interface; boxing happens only when a trace is dumped as
+// JSON.
 type Attr struct {
+	Span int
 	Key  string
 	kind attrKind
 	str  string
@@ -88,20 +91,26 @@ type Attr struct {
 // relative to the trace start, taken from the monotonic clock (time.Since on
 // the trace's base time), so spans order correctly even across wall-clock
 // adjustments. End == 0 means the span was never ended (the dump keeps it,
-// visibly unterminated, rather than guessing).
+// visibly unterminated, rather than guessing). Its attributes live in the
+// trace's attribute table, not in the span, so a span carries no slice
+// header and no per-span backing array.
 type Span struct {
 	ID     int
 	Parent int
 	Name   string
 	Start  int64
 	End    int64
-	Attrs  []Attr
 }
 
-// DefaultMaxSpans bounds one trace's span table. A request of S stream
-// chunks records a handful of spans per chunk plus one per recovery, so the
-// default comfortably covers the serving layer's 8 MiB request bound; beyond
-// the limit spans are counted as dropped instead of growing without bound.
+// DefaultMaxSpans bounds one trace's span table. The serving layer records
+// three spans per request (the root, admission and stream) and at most five
+// per stream chunk (stream.chunk, accel.invoke, checker.predict, one
+// exec.recover for the chunk's fired elements, merge.commit), so the
+// default records a request of about 200 chunks in full: some 13,000
+// elements at the default BatchSize of 64. Larger requests (an 8 MiB fft
+// request holds hundreds of thousands of elements) keep their first spans
+// and count the rest in Snapshot.DroppedSpans, so a trace's memory stays
+// bounded whatever the request size.
 const DefaultMaxSpans = 1024
 
 // traceSeq numbers traces process-wide; IDs only need to be unique within
@@ -110,14 +119,15 @@ var traceSeq atomic.Uint64
 
 // Trace is the span table for one request. Spans may be recorded from any
 // goroutine the request's context reaches (detection, recovery workers, the
-// merger); the table is guarded by one mutex, which the hot path touches at
-// chunk granularity, not per element. All methods are nil-receiver safe:
-// a nil *Trace is the disabled tracer.
+// merger); the span and attribute tables are guarded by one mutex, which the
+// hot path touches at chunk granularity, not per element. All methods are
+// nil-receiver safe: a nil *Trace is the disabled tracer.
 type Trace struct {
 	mu      sync.Mutex
 	id      uint64
 	begin   time.Time
 	spans   []Span
+	attrs   []Attr
 	limit   int
 	dropped int
 	flags   Flag
@@ -142,6 +152,7 @@ func New(name string, maxSpans int) *Trace {
 		begin: time.Now(),
 		limit: maxSpans,
 		spans: make([]Span, 1, 16),
+		attrs: make([]Attr, 0, 16),
 	}
 	t.traceID = mintTraceID(t.id)
 	t.spans[0] = Span{ID: 1, Name: name}
@@ -285,14 +296,14 @@ func (s SpanRef) End() {
 	s.t.mu.Unlock()
 }
 
-// attr appends one attribute to the span.
+// attr appends one attribute of the span to the trace's attribute table.
 //
 //rumba:hotpath
 func (s SpanRef) attr(a Attr) {
+	a.Span = s.id
 	s.t.mu.Lock()
-	sp := &s.t.spans[s.id-1]
 	//rumba:allow hotpath enabled-path attribute append; the disabled path never reaches attr
-	sp.Attrs = append(sp.Attrs, a)
+	s.t.attrs = append(s.t.attrs, a)
 	s.t.mu.Unlock()
 }
 
