@@ -15,13 +15,21 @@
 #                                  goroutine-leak checks, and the engine's
 #                                  allocation and goroutine bound is
 #                                  TestProcessSliceAllocs; shuffling flushes
-#                                  out inter-test ordering assumptions)
+#                                  out inter-test ordering assumptions);
+#                                  then the serving layer again, uncached:
+#                                  its drain, overload-shed,
+#                                  restart-persistence, framing-invariance
+#                                  (TestTenantFramingInvariance) and
+#                                  failed-request
+#                                  (TestFailedRequestLeavesNoTrace) tests
 #   4. fuzz seed smoke             every Fuzz* target replayed over its
 #                                  checked-in seed corpus plus a short live
 #                                  fuzzing burst (quality + predictor
 #                                  adversarial-input hardening, the
-#                                  /v1/invoke handler fuzz, and the corpus.json
-#                                  scanner against encoding/json)
+#                                  /v1/invoke handler fuzz, the
+#                                  PUT /v1/tenants/{id}/state snapshot
+#                                  import fuzz, and the corpus.json scanner
+#                                  against encoding/json)
 #   5. bench smoke                 the hot-path benchmark suite at
 #                                  -benchtime=100x -benchmem: catches batch
 #                                  kernels that stop compiling, panic, or
@@ -109,7 +117,7 @@ go vet ./...
 echo "==> go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "==> serving layer under -race (drain, overload-shed and restart-persistence suite)"
+echo "==> serving layer under -race (drain, overload-shed, restart-persistence, framing-invariance and failed-request suite)"
 go test -race -count=1 ./internal/server/
 
 echo "==> fuzz seeds smoke"
@@ -118,6 +126,7 @@ go test -run='^$' -fuzz='^FuzzElementError$' -fuzztime=10s ./internal/quality/
 go test -run='^$' -fuzz='^FuzzTreePredictError$' -fuzztime=10s ./internal/predictor/
 go test -run='^$' -fuzz='^FuzzParseDirective$' -fuzztime=10s ./internal/analysis/
 go test -run='^$' -fuzz='^FuzzHandleInvoke$' -fuzztime=10s ./internal/server/
+go test -run='^$' -fuzz='^FuzzTenantStateImport$' -fuzztime=10s ./internal/server/
 go test -run='^$' -fuzz='^FuzzDecodeCorpus$' -fuzztime=10s ./internal/pkg/
 
 echo "==> bench smoke (-benchtime=100x -benchmem)"

@@ -6,11 +6,11 @@ import (
 	"rumba/internal/obs"
 )
 
-// Queue is the bounded FIFO used for CPU/accelerator communication in
-// Figure 4: the config queue, the input and output data queues, and the
-// recovery queue that carries recovery bits back to the CPU. It is a plain
-// ring buffer; the latency/energy cost of queue traffic is accounted by the
-// energy package, not here.
+// Queue is a bounded FIFO in the shape of Figure 4's CPU/accelerator
+// queues; rumba-serve's shared admission queue is one. It is a plain ring
+// buffer; the latency/energy cost of queue traffic is accounted by the
+// energy package, and the recovery queue's back-pressure by
+// pipeline.Simulate, not here.
 type Queue[T any] struct {
 	buf        []T
 	head, size int
@@ -93,13 +93,4 @@ func (q *Queue[T]) Drain() []T {
 		}
 		out = append(out, v)
 	}
-}
-
-// RecoveryBit is the message carried on the recovery queue: the iteration ID
-// whose output element the detector flagged for exact re-execution.
-type RecoveryBit struct {
-	Iteration int
-	// PredictedError is the detector's error estimate, kept for the
-	// tuner's bookkeeping and the Figure 18 trace.
-	PredictedError float64
 }

@@ -75,14 +75,24 @@ func TestProcessSliceEmptyInput(t *testing.T) {
 	}
 }
 
-func TestProcessSliceReuseReturnsError(t *testing.T) {
+// TestProcessSliceContinuesStream: a second ProcessSlice continues the
+// stream where the first left it. Its indices run on, its fires join the
+// invocation the first call began, and it starts no goroutine.
+func TestProcessSliceContinuesStream(t *testing.T) {
 	base := runtime.NumGoroutine()
 	st := newCollectStream(t, 1)
-	if _, err := st.ProcessSlice(context.Background(), [][]float64{{1, behaveNormal, 0}}); err != nil {
+	if _, err := st.ProcessSlice(context.Background(), [][]float64{{1, behaveNormal, 0.75}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.ProcessSlice(context.Background(), [][]float64{{1, behaveNormal, 0}}); !errors.Is(err, ErrStreamReused) {
-		t.Fatalf("second ProcessSlice returned %v, want ErrStreamReused", err)
+	got, err := st.ProcessSlice(context.Background(), [][]float64{{2, behaveNormal, 0}, {3, behaveNormal, 0.75}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Index != 1 || got[1].Index != 2 || got[0].Fixed || !got[1].Fixed {
+		t.Fatalf("second call returned %+v, want indices 1 and 2 with the second fixed", got)
+	}
+	if c := st.Carry(); c != (Carry{Elements: 3, Fired: 2}) {
+		t.Fatalf("carry after two calls = %+v, want 3 elements, 2 fired", c)
 	}
 	waitForGoroutines(t, base)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,6 +9,7 @@ import (
 
 	"rumba/internal/exec"
 	"rumba/internal/obs"
+	"rumba/internal/predictor"
 	"rumba/internal/quality"
 	"rumba/internal/trace"
 )
@@ -27,21 +27,24 @@ import (
 // the result slice: index addressing is the output merger of Figures 4 and
 // 8. The Figure 8 overlap of detection and recovery is what
 // pipeline.Simulate models; the engine does not imitate it with goroutines.
+// Successive calls continue one element stream, so how a caller cuts the
+// stream into calls changes no result and no tuner step.
 //
 // Production hardening semantics:
 //
 //   - Cancellation: nothing a call starts outlives it, except an exact
 //     kernel abandoned at its deadline (see runExact). A cancelled
 //     ProcessSlice returns the chunks committed before the cancellation
-//     plus ctx.Err(); Process closes its channel after an in-order prefix
-//     of them.
+//     plus ctx.Err() and puts the Stream back as the call found it;
+//     Process closes its channel after an in-order prefix of them.
 //   - Degradation: a fired element whose exact kernel panics or overruns
 //     Config.RecoveryDeadline is committed with its approximate output and
 //     the Degraded flag — quality degrades for that element, the stream
 //     lives.
-//   - Bounded memory: a request holds its result slice plus one chunk of
-//     scratch; Process holds one chunk plus its result channel, so a slow
-//     consumer back-pressures detection.
+//   - Bounded memory: a call holds its result slice plus one chunk of
+//     scratch, kept by the Stream at the widest chunk it has run; Process
+//     holds one chunk plus its result channel, so a slow consumer
+//     back-pressures detection.
 
 // Metric names the streaming runtime registers in its obs.Registry. They are
 // exported so tests and dashboards reference one set of spellings.
@@ -59,8 +62,6 @@ const (
 	MetricDegraded = "stream.degraded"
 	// MetricInvocations counts tuner invocation boundaries.
 	MetricInvocations = "stream.invocations"
-	// MetricQueueDepth gauges System.Run's modelled recovery queue.
-	MetricQueueDepth = "stream.recovery_queue_depth"
 	// MetricDetectNs is the per-element detection latency (accelerator
 	// invoke + checker) in nanoseconds.
 	MetricDetectNs = "stream.latency.detect_ns"
@@ -70,14 +71,10 @@ const (
 	MetricThreshold = "tuner.threshold"
 )
 
-// ErrStreamReused is returned by Process or ProcessSlice when a Stream is
-// run a second time: the detection/tuner state is single-shot by design.
-var ErrStreamReused = errors.New("core: Stream.Process may be called once per Stream; build a new Stream per run")
-
 // StreamResult is one merged output element.
 type StreamResult struct {
-	// Index is the element's position in the input stream; results are
-	// delivered in index order.
+	// Index is the element's position in the Stream's element stream, over
+	// all its calls; results are delivered in index order.
 	Index int
 	// Output is the committed value: the accelerator's output, or the
 	// exact re-execution when the check fired.
@@ -102,31 +99,37 @@ type StreamResult struct {
 	Observed bool
 }
 
-// Stream is a single-shot online Rumba instance.
+// Stream is one online Rumba engine over one element stream, which
+// successive ProcessSlice and Process calls continue. It is not safe for
+// concurrent use.
 type Stream struct {
 	sys     *System
 	workers int
-	started atomic.Bool
 
 	// Resolved metric handles; hot paths must not take the registry lock.
 	mIn, mOut, mFires, mFixes, mDegraded, mInvocations *obs.Counter
 	gThreshold                                         *obs.Gauge
 	hDetect, hRecover                                  *obs.Histogram
 
-	// The run's state: the request span, the index of the next element, the
-	// first element of the tuner's current invocation and its fires so far,
-	// and one chunk's scratch (output rows, predictions, fired slots).
-	span                     trace.SpanRef
-	next, invStart, invFired int
-	rows                     [][]float64
-	preds                    []float64
-	fired                    []int
+	// The stream's position, and one chunk's scratch (output rows,
+	// predictions, fired slots) grown to the widest chunk run so far.
+	next  int
+	inv   Carry
+	rows  [][]float64
+	preds []float64
+	fired []int
 }
 
-// NewStream wraps a System for streaming use. workers bounds the goroutines
-// that re-execute one chunk's fired elements; 1 (the paper's single host
-// CPU) re-executes them inline on the caller's goroutine, more model a
-// multicore host. workers <= 0 selects 1.
+// Carry is a Stream's position inside its current invocation: the elements
+// since the last invocation boundary and how many of them fired.
+type Carry struct {
+	Elements, Fired int
+}
+
+// NewStream wraps a System for streaming use and resets its checker once.
+// workers bounds the goroutines that re-execute one chunk's fired elements;
+// 1 (the paper's single host CPU) re-executes them inline on the caller's
+// goroutine, more model a multicore host. workers <= 0 selects 1.
 func NewStream(cfg Config, workers int) (*Stream, error) {
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -136,6 +139,9 @@ func NewStream(cfg Config, workers int) (*Stream, error) {
 		workers = 1
 	}
 	st := &Stream{sys: sys, workers: workers}
+	if cfg.Checker != nil {
+		cfg.Checker.Reset()
+	}
 	r := sys.obs
 	st.mIn = r.Counter(MetricElementsIn)
 	st.mOut = r.Counter(MetricElementsOut)
@@ -153,24 +159,23 @@ func NewStream(cfg Config, workers int) (*Stream, error) {
 // Config.Metrics, or the private registry allocated for it).
 func (st *Stream) Metrics() *obs.Registry { return st.sys.obs }
 
-// ProcessSlice is the request-shaped entry point: it runs a finite batch of
-// inputs through the engine one Config.BatchSize chunk at a time and returns
-// the in-order results. It is what a serving layer calls once per request —
-// rumba-serve builds one Stream per admitted request around the tenant's
-// live tuner and propagates the request deadline through ctx.
+// ProcessSlice is the request-shaped entry point: it continues the stream
+// over a finite batch of inputs, one Config.BatchSize chunk at a time, and
+// returns the in-order results. rumba-serve keeps one Stream per tenant and
+// calls it once per request, propagating the request deadline through ctx.
 //
 // On cancellation (deadline exceeded, client gone) it returns the whole
-// chunks committed before the cancellation together with ctx.Err(). Nothing
-// it started is still running when it returns, so the caller may hand the
-// tenant's accelerator, checker and tuner to its next request at once.
+// chunks committed before the cancellation together with ctx.Err(), and it
+// puts the stream's position, its tuner and its checker back as they were
+// at the call. Nothing it started is still running when it returns, so the
+// next call may run at once.
 func (st *Stream) ProcessSlice(ctx context.Context, inputs [][]float64) ([]StreamResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	batch := min(st.sys.cfg.BatchSize, len(inputs))
-	if err := st.begin(ctx, batch); err != nil {
-		return nil, err
-	}
+	st.begin(batch)
+	at := st.mark()
 	outW := st.sys.cfg.Spec.OutDim
 	results := make([]StreamResult, len(inputs))
 	// One flat array backs every accelerator output of the request. The
@@ -179,28 +184,28 @@ func (st *Stream) ProcessSlice(ctx context.Context, inputs [][]float64) ([]Strea
 	for lo := 0; lo < len(inputs); lo += batch {
 		hi := min(lo+batch, len(inputs))
 		if err := st.runChunk(ctx, results[lo:hi], inputs[lo:hi], flat[lo*outW:hi*outW]); err != nil {
+			st.rollback(at)
 			return results[:lo], err
 		}
 	}
 	return results, nil
 }
 
-// Process consumes the input channel and returns the merged, in-order
-// result channel. One goroutine gathers each chunk as the inputs arrive —
-// it blocks for the chunk's first element, then takes whatever else is
-// already queued, so a trickling producer still gets per-element latency —
-// runs it through the engine and sends its results in order. The channel is
-// closed after the final input's element is delivered, or once ctx is
-// cancelled; undelivered elements are then dropped. Process returns
-// ErrStreamReused when the Stream has already run.
+// Process continues the stream over the input channel and returns the
+// merged, in-order result channel. One goroutine gathers each chunk as the
+// inputs arrive — it blocks for the chunk's first element, then takes
+// whatever else is already queued, so a trickling producer still gets
+// per-element latency — runs it through the engine and sends its results in
+// order. The channel is closed after the final input's element is
+// delivered, or once ctx is cancelled; undelivered elements are then
+// dropped, and the stream stays after the last chunk it ran. The call owns
+// the Stream until the channel closes.
 func (st *Stream) Process(ctx context.Context, inputs <-chan []float64) (<-chan StreamResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	batch := st.sys.cfg.BatchSize
-	if err := st.begin(ctx, batch); err != nil {
-		return nil, err
-	}
+	st.begin(batch)
 	// The buffer lets a consumer lag the engine by up to 64 results; a
 	// slower one blocks the sends and so back-pressures detection.
 	out := make(chan StreamResult, 64)
@@ -257,33 +262,64 @@ func gather(ctx context.Context, inputs <-chan []float64, buf [][]float64) [][]f
 	return buf
 }
 
-// begin claims the Stream's single run, resets the checker and allocates
-// the chunk scratch for chunks of up to batch elements.
-func (st *Stream) begin(ctx context.Context, batch int) error {
-	if !st.started.CompareAndSwap(false, true) {
-		return ErrStreamReused
+// begin starts a call: it publishes the threshold and grows the chunk
+// scratch to chunks of batch elements.
+func (st *Stream) begin(batch int) {
+	if t := st.sys.cfg.Tuner; t != nil {
+		st.gThreshold.Set(t.Threshold)
 	}
-	cfg := &st.sys.cfg
-	if cfg.Checker != nil {
-		cfg.Checker.Reset()
+	if len(st.preds) < batch {
+		st.rows = make([][]float64, batch)
+		st.preds = make([]float64, batch)
+		st.fired = make([]int, 0, batch)
 	}
-	if cfg.Tuner != nil {
-		st.gThreshold.Set(cfg.Tuner.Threshold)
+}
+
+// Carry returns the stream's position inside its current invocation.
+func (st *Stream) Carry() Carry { return st.inv }
+
+// SetCarry puts the stream c.Elements elements, c.Fired of them fired, into
+// an invocation, which closes at Config.InvocationSize elements or, if it
+// has them already, at the next element. 0 <= c.Fired <= c.Elements.
+func (st *Stream) SetCarry(c Carry) { st.inv = c }
+
+// mark is what a failed ProcessSlice puts back as it was at the call: the
+// position, the tuner and an EMA checker's (the only stateful one) average.
+type mark struct {
+	next  int
+	inv   Carry
+	tuner Tuner
+	ema   predictor.EMA
+}
+
+func (st *Stream) mark() mark {
+	m := mark{next: st.next, inv: st.inv}
+	if t := st.sys.cfg.Tuner; t != nil {
+		m.tuner = *t
 	}
-	// The request span (if any) travels in ctx. With tracing disabled it is
-	// a zero SpanRef and every span call reduces to a nil check.
-	st.span = trace.FromContext(ctx)
-	st.rows = make([][]float64, batch)
-	st.preds = make([]float64, batch)
-	st.fired = make([]int, 0, batch)
-	return nil
+	if e, ok := st.sys.cfg.Checker.(*predictor.EMA); ok {
+		m.ema = *e
+	}
+	return m
+}
+
+func (st *Stream) rollback(m mark) {
+	st.next, st.inv = m.next, m.inv
+	if t := st.sys.cfg.Tuner; t != nil {
+		*t = m.tuner
+		st.gThreshold.Set(t.Threshold)
+	}
+	if e, ok := st.sys.cfg.Checker.(*predictor.EMA); ok {
+		*e = m.ema
+	}
 }
 
 // runChunk is the engine: it runs one chunk of inputs through detection,
 // decides fires and steps the tuner per element, re-executes the fired
 // elements and commits the chunk into res, writing each element's
 // accelerator output into its row of flat. The threshold moves only at
-// invocation boundaries, so results are identical at every chunk size. If
+// invocation boundaries, so results are identical at every chunk size and
+// at every split of the stream into calls. If
 // ctx is cancelled before the commit, runChunk returns ctx.Err() and the
 // chunk's results must be discarded.
 func (st *Stream) runChunk(ctx context.Context, res []StreamResult, ins [][]float64, flat []float64) error {
@@ -292,7 +328,10 @@ func (st *Stream) runChunk(ctx context.Context, res []StreamResult, ins [][]floa
 	}
 	cfg := &st.sys.cfg
 	n, outW := len(ins), cfg.Spec.OutDim
-	chunkSp := st.span.Start("stream.chunk")
+	// The request span (if any) travels in ctx. With tracing disabled it is
+	// a zero SpanRef and every span call reduces to a nil check.
+	span := trace.FromContext(ctx)
+	chunkSp := span.Start("stream.chunk")
 	chunkSp.SetInt("elements", int64(n))
 	start := time.Now()
 	// The three-index slice keeps a fallback executor's fresh rows from
@@ -320,31 +359,32 @@ func (st *Stream) runChunk(ctx context.Context, res []StreamResult, ins [][]floa
 			res[i].PredictedError = st.preds[i]
 			if st.preds[i] > cfg.Tuner.Threshold {
 				st.fired = append(st.fired, i)
-				st.invFired++
+				st.inv.Fired++
 				st.mFires.Inc()
 			}
 		}
 		st.next++
-		if cfg.Tuner != nil && st.next-st.invStart >= cfg.InvocationSize {
-			elements := st.next - st.invStart
-			cfg.Tuner.Observe(InvocationStats{
-				Elements:       elements,
-				Fixed:          st.invFired,
-				CPUUtilisation: EstimateUtilisation(cfg.Accel, cfg.Spec.Cost, st.sys.model, st.invFired, elements),
-			})
-			st.mInvocations.Inc()
-			st.gThreshold.Set(cfg.Tuner.Threshold)
-			st.invStart, st.invFired = st.next, 0
+		if st.inv.Elements++; st.inv.Elements >= cfg.InvocationSize {
+			if cfg.Tuner != nil {
+				cfg.Tuner.Observe(InvocationStats{
+					Elements:       st.inv.Elements,
+					Fixed:          st.inv.Fired,
+					CPUUtilisation: EstimateUtilisation(cfg.Accel, cfg.Spec.Cost, st.sys.model, st.inv.Fired, st.inv.Elements),
+				})
+				st.mInvocations.Inc()
+				st.gThreshold.Set(cfg.Tuner.Threshold)
+			}
+			st.inv = Carry{}
 		}
 	}
 	chunkSp.SetInt("fires", int64(len(st.fired)))
 	chunkSp.End()
 
-	st.recoverFired(ctx, res, ins)
+	st.recoverFired(ctx, span, res, ins)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	msp := st.span.Start("merge.commit")
+	msp := span.Start("merge.commit")
 	msp.SetInt("items", int64(n))
 	st.mOut.Add(int64(n))
 	msp.End()
@@ -357,12 +397,12 @@ func (st *Stream) runChunk(ctx context.Context, res []StreamResult, ins [][]floa
 // goroutine. Once ctx is cancelled the remaining elements are skipped: the
 // chunk will not be committed. The chunk's recovery is one exec.recover
 // span, whose counts are aggregated from the result slots after the join.
-func (st *Stream) recoverFired(ctx context.Context, res []StreamResult, ins [][]float64) {
+func (st *Stream) recoverFired(ctx context.Context, span trace.SpanRef, res []StreamResult, ins [][]float64) {
 	fired := st.fired
 	if len(fired) == 0 {
 		return
 	}
-	sp := st.span.Start("exec.recover")
+	sp := span.Start("exec.recover")
 	defer st.traceRecovery(sp, res)
 	k := min(st.workers, len(fired))
 	if k <= 1 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"rumba/internal/accel"
 	"rumba/internal/energy"
+	"rumba/internal/exec"
 	"rumba/internal/obs"
 	"rumba/internal/predictor"
 	"rumba/internal/trace"
@@ -202,6 +204,65 @@ func TestProcessSliceLeavesNothingRunning(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) || len(got) != 8 {
 		t.Fatalf("returned %d results and %v, want the first 8 and context.Canceled", len(got), err)
+	}
+}
+
+// cancelAfter is an executor with no batch kernel that cancels its run at
+// its left-th Invoke call from when left is set.
+type cancelAfter struct {
+	exec.Executor
+	left   int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Invoke(in []float64) []float64 {
+	if c.left--; c.left == 0 {
+		c.cancel()
+	}
+	return c.Executor.Invoke(in)
+}
+
+// TestProcessSliceErrorRestoresStream cancels a ProcessSlice in its sixth
+// chunk, after its earlier chunks and the cancelled one itself have closed
+// invocations, stepped the Energy tuner and moved the EMA checker's average.
+// The failed call must put all three and the position back, so that the
+// calls around it deliver what refStream delivers for their elements alone.
+func TestProcessSliceErrorRestoresStream(t *testing.T) {
+	spec, acc, ps, test := buildRuntime(t, "fft", 200)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ex := &cancelAfter{Executor: acc, cancel: cancel}
+	cfg := Config{Spec: spec, Accel: ex, Checker: ps.EMA, InvocationSize: 16, BatchSize: 8}
+	var err error
+	if cfg.Tuner, err = NewTuner(ModeEnergy, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStream(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.ProcessSlice(context.Background(), test.Inputs[:37])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.left = 45
+	if res, err := st.ProcessSlice(ctx, test.Inputs[100:]); !errors.Is(err, context.Canceled) || len(res) != 40 {
+		t.Fatalf("failed call returned %d results and %v, want 40 and context.Canceled", len(res), err)
+	}
+	rest, err := st.ProcessSlice(context.Background(), test.Inputs[37:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := cfg
+	ref.Accel = acc
+	if ref.Tuner, err = NewTuner(ModeEnergy, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := refStream(ref, test.Inputs)
+	sameResults(t, "calls around a failed one", append(got, rest...), want)
+	gotTuner, _ := cfg.Tuner.MarshalJSON()
+	if wantTuner, _ := ref.Tuner.MarshalJSON(); !bytes.Equal(gotTuner, wantTuner) {
+		t.Fatalf("tuner %s, want %s", gotTuner, wantTuner)
 	}
 }
 

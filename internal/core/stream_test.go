@@ -1,8 +1,8 @@
 package core
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"math"
 	"testing"
 )
@@ -184,26 +184,37 @@ func TestStreamEnergyModeTunesOnline(t *testing.T) {
 	reconcileStats(t, st, stats)
 }
 
-// The doc comment always promised "Process may be called once per Stream";
-// this pins the promise as a checked error instead of silent state
-// corruption (the second caller would otherwise share the tuner and the
-// detection indices of the first).
-func TestStreamProcessTwiceReturnsError(t *testing.T) {
-	spec, acc, _, test := buildRuntime(t, "fft", 100)
-	st, err := NewStream(Config{Spec: spec, Accel: acc}, 1)
+// TestStreamProcessTwiceContinues: a second Process call, made once the
+// first call's channel has closed, continues the stream, EMA checker history
+// and Energy tuner included, so two calls deliver what refStream delivers
+// for the whole sequence.
+func TestStreamProcessTwiceContinues(t *testing.T) {
+	spec, acc, ps, test := buildRuntime(t, "fft", 100)
+	cfg := Config{Spec: spec, Accel: acc, Checker: ps.EMA, InvocationSize: 16}
+	var err error
+	if cfg.Tuner, err = NewTuner(ModeEnergy, 0.25); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStream(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := mustProcess(t, st, feedInputs(test.Inputs))
-	if _, err := st.Process(context.Background(), feedInputs(test.Inputs)); !errors.Is(err, ErrStreamReused) {
-		t.Fatalf("second Process returned %v, want ErrStreamReused", err)
+	half := test.Len()/2 + 3 // not a multiple of the invocation size
+	var got []StreamResult
+	for _, part := range [][][]float64{test.Inputs[:half], test.Inputs[half:]} {
+		for r := range mustProcess(t, st, feedInputs(part)) {
+			got = append(got, r)
+		}
 	}
-	n := 0
-	for range out {
-		n++
+	ref := cfg
+	if ref.Tuner, err = NewTuner(ModeEnergy, 0.25); err != nil {
+		t.Fatal(err)
 	}
-	if n != test.Len() {
-		t.Fatalf("first run delivered %d of %d after rejected reuse", n, test.Len())
+	want, _ := refStream(ref, test.Inputs)
+	sameResults(t, "two Process calls", got, want)
+	gotTuner, _ := cfg.Tuner.MarshalJSON()
+	if wantTuner, _ := ref.Tuner.MarshalJSON(); !bytes.Equal(gotTuner, wantTuner) {
+		t.Fatalf("tuner after two Process calls %s, want %s", gotTuner, wantTuner)
 	}
 }
 

@@ -42,9 +42,9 @@ type Config struct {
 	// each invocation the same way. 0 uses 1 (the scalar path, bit-identical
 	// to the pre-batching runtime); < 0 is an error.
 	BatchSize int
-	// RecoveryQueueCap bounds System.Run's modelled recovery queue (the
-	// hardware queue of Figure 4 that pipeline.Simulate prices); <= 0 uses
-	// 64.
+	// RecoveryQueueCap is the capacity of the hardware recovery queue of
+	// Figure 4, which pipeline.Simulate reads to price the accelerator's
+	// back-pressure when recovery falls behind; <= 0 uses 64.
 	RecoveryQueueCap int
 	// RecoveryDeadline bounds one exact re-execution in the streaming
 	// runtime: an element exceeding it commits the approximate output with
@@ -137,12 +137,12 @@ func (s *System) Metrics() *obs.Registry { return s.obs }
 // Run processes the dataset, one invocation (Config.InvocationSize
 // elements) at a time. Within an invocation the accelerator and the checker
 // run in Config.BatchSize chunks through the fused batch kernels
-// (exec.InvokeBatch, PredictErrorBatch), and each element the checker fires
-// on is pushed onto the recovery queue. Run models recovery rather than
-// performing it: the dataset's targets are the exact outputs, so a fired
-// element is committed as fixed with zero error, every other element at its
-// accelerator error, and the CPU re-execution's time and energy are priced
-// by the pipeline overlap model (pipeline.Simulate) and the energy model.
+// (exec.InvokeBatch, PredictErrorBatch). Run models recovery rather than
+// performing it: the dataset's targets are the exact outputs, so an element
+// the checker fires on is committed as fixed with zero error, every other
+// element at its accelerator error, and the CPU re-execution's time and
+// energy, the recovery queue's back-pressure included, are priced by the
+// pipeline overlap model (pipeline.Simulate) and the energy model.
 // The threshold only moves between invocations, so the Report is identical
 // at every batch size.
 func (s *System) Run(d nn.Dataset) (*Report, error) {
@@ -157,9 +157,6 @@ func (s *System) Run(d nn.Dataset) (*Report, error) {
 	if s.cfg.Checker != nil {
 		s.cfg.Checker.Reset()
 	}
-	recovery := accel.NewQueue[accel.RecoveryBit](s.cfg.RecoveryQueueCap)
-	// No pushes counter: every push is a fire, which stream.fires counts.
-	recovery.Instrument(s.obs.Gauge(MetricQueueDepth), nil, s.obs.Counter("queue.recovery.stalls"))
 	mIn, mOut := s.obs.Counter(MetricElementsIn), s.obs.Counter(MetricElementsOut)
 	mFires, mFixes := s.obs.Counter(MetricFires), s.obs.Counter(MetricFixes)
 	gThreshold := s.obs.Gauge(MetricThreshold)
@@ -210,21 +207,16 @@ func (s *System) Run(d nn.Dataset) (*Report, error) {
 					mergedSum += trueErr
 					continue
 				}
-				// The detector fires: push the recovery bit. The CPU side
-				// drains the queue continuously (pipelined with the
-				// accelerator), so a full queue only means back-pressure in
-				// the timing model, never a lost fix.
-				bit := accel.RecoveryBit{Iteration: i, PredictedError: out.PredictedError}
-				if !recovery.Push(bit) {
-					drainRecovery(recovery, rep, flags)
-					recovery.Push(bit)
-				}
+				// The detector fires: the exact output replaces the
+				// accelerator's, so the element's merged error is zero.
+				out.Fixed = true
+				flags[i] = true
 				fixedThisInv++
+				rep.Fixed++
 				mFires.Inc()
 			}
 			mOut.Add(int64(n))
 		}
-		drainRecovery(recovery, rep, flags)
 		if s.cfg.Tuner != nil {
 			s.cfg.Tuner.Observe(InvocationStats{
 				Elements:       end - start,
@@ -235,31 +227,11 @@ func (s *System) Run(d nn.Dataset) (*Report, error) {
 	}
 	rep.UncheckedError = uncheckedSum / float64(d.Len())
 	rep.OutputError = mergedSum / float64(d.Len())
-	for _, o := range rep.Outcomes {
-		if o.Fixed {
-			rep.Fixed++
-		}
-	}
 	mFixes.Add(int64(rep.Fixed))
 	if err := s.accountCosts(rep, flags); err != nil {
 		return nil, err
 	}
 	return rep, nil
-}
-
-// drainRecovery performs the recovery module's work: pop every pending
-// recovery bit and commit that element through the merger as fixed. The
-// exact output replaces the accelerator's, so the element's merged error is
-// exactly zero.
-func drainRecovery(q *accel.Queue[accel.RecoveryBit], rep *Report, flags []bool) {
-	for {
-		bit, ok := q.Pop()
-		if !ok {
-			return
-		}
-		rep.Outcomes[bit.Iteration].Fixed = true
-		flags[bit.Iteration] = true
-	}
 }
 
 // EstimateUtilisation approximates the recovery CPU's utilisation while the

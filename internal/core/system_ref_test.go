@@ -16,6 +16,14 @@ import (
 // discarded. The differential tests in system_diff_test.go hold the batched
 // runner to it bit for bit.
 
+// recoveryBitRef is the message the reference carries on its recovery
+// queue: the iteration whose output the detector flagged for exact
+// re-execution.
+type recoveryBitRef struct {
+	Iteration      int
+	PredictedError float64
+}
+
 // runScalarRef is the reference scalar runner.
 func runScalarRef(s *System, d nn.Dataset) (*Report, error) {
 	if d.Len() == 0 {
@@ -29,11 +37,7 @@ func runScalarRef(s *System, d nn.Dataset) (*Report, error) {
 	if s.cfg.Checker != nil {
 		s.cfg.Checker.Reset()
 	}
-	recovery := accel.NewQueue[accel.RecoveryBit](s.cfg.RecoveryQueueCap)
-	// No pushes counter: the flaggedRef() scan below pops and re-pushes every
-	// queued bit, which would count phantom traffic. Depth and stalls stay
-	// accurate through that scan.
-	recovery.Instrument(s.obs.Gauge(MetricQueueDepth), nil, s.obs.Counter("queue.recovery.stalls"))
+	recovery := accel.NewQueue[recoveryBitRef](s.cfg.RecoveryQueueCap)
 	mIn, mOut := s.obs.Counter(MetricElementsIn), s.obs.Counter(MetricElementsOut)
 	mFires, mFixes := s.obs.Counter(MetricFires), s.obs.Counter(MetricFixes)
 	gThreshold := s.obs.Gauge(MetricThreshold)
@@ -68,9 +72,9 @@ func runScalarRef(s *System, d nn.Dataset) (*Report, error) {
 					// side drains the queue continuously (pipelined with
 					// the accelerator), so a full queue only means
 					// back-pressure in the timing model, never a lost fix.
-					if !recovery.Push(accel.RecoveryBit{Iteration: i, PredictedError: out.PredictedError}) {
+					if !recovery.Push(recoveryBitRef{Iteration: i, PredictedError: out.PredictedError}) {
 						drainRecoveryRef(recovery, spec, d, rep, &mergedSum, flags)
-						recovery.Push(accel.RecoveryBit{Iteration: i, PredictedError: out.PredictedError})
+						recovery.Push(recoveryBitRef{Iteration: i, PredictedError: out.PredictedError})
 					}
 					fixedThisInv++
 					mFires.Inc()
@@ -109,7 +113,7 @@ func runScalarRef(s *System, d nn.Dataset) (*Report, error) {
 
 // flaggedRef reports whether element i currently sits in the recovery queue.
 // The queue is small (paper-default 64), so a linear scan is fine.
-func flaggedRef(q *accel.Queue[accel.RecoveryBit], i int) bool {
+func flaggedRef(q *accel.Queue[recoveryBitRef], i int) bool {
 	found := false
 	n := q.Len()
 	for k := 0; k < n; k++ {
@@ -125,7 +129,7 @@ func flaggedRef(q *accel.Queue[accel.RecoveryBit], i int) bool {
 // drainRecoveryRef performs the recovery module's work: pop every pending
 // recovery bit, re-execute that iteration exactly on the CPU, and commit the
 // exact output through the merger (zero error contribution).
-func drainRecoveryRef(q *accel.Queue[accel.RecoveryBit], spec *bench.Spec, d nn.Dataset, rep *Report, mergedSum *float64, flags []bool) {
+func drainRecoveryRef(q *accel.Queue[recoveryBitRef], spec *bench.Spec, d nn.Dataset, rep *Report, mergedSum *float64, flags []bool) {
 	for {
 		bit, ok := q.Pop()
 		if !ok {

@@ -87,30 +87,43 @@ type Tuner struct {
 // the iteration budget fraction. For ModeQuality, target is the keep-up
 // fraction.
 func NewTuner(mode TunerMode, target float64) (*Tuner, error) {
-	if target < 0 {
-		return nil, fmt.Errorf("core: negative tuner target %v", target)
-	}
-	t := &Tuner{Mode: mode, minThreshold: 1e-4, maxThreshold: 10}
+	t := &Tuner{Mode: mode, Threshold: 0.1, minThreshold: 1e-4, maxThreshold: 10}
 	switch mode {
 	case ModeTOQ:
-		t.TargetError = target
-		t.Threshold = target
+		t.TargetError, t.Threshold = target, target
 	case ModeEnergy:
-		if target == 0 || target > 1 {
-			return nil, fmt.Errorf("core: energy-mode budget %v must be in (0,1]", target)
-		}
 		t.IterationBudget = target
-		t.Threshold = 0.1
 	case ModeQuality:
-		if target == 0 || target > 1 {
-			return nil, fmt.Errorf("core: quality-mode keep-up fraction %v must be in (0,1]", target)
-		}
 		t.KeepUpFraction = target
-		t.Threshold = 0.1
-	default:
-		return nil, fmt.Errorf("core: unknown tuner mode %v", mode)
+	}
+	if err := t.Validate(); err != nil {
+		return nil, err
 	}
 	return t, nil
+}
+
+// Validate reports whether the tuner's mode is known and its target is one
+// NewTuner accepts for that mode: a TOQ error bound of at least 0, an
+// energy budget or a keep-up fraction in (0, 1]. A serving layer calls it on
+// tuner state it restores from outside.
+func (t *Tuner) Validate() error {
+	switch t.Mode {
+	case ModeTOQ:
+		if !(t.TargetError >= 0) {
+			return fmt.Errorf("core: negative tuner target %v", t.TargetError)
+		}
+	case ModeEnergy:
+		if !(t.IterationBudget > 0 && t.IterationBudget <= 1) {
+			return fmt.Errorf("core: energy-mode budget %v must be in (0,1]", t.IterationBudget)
+		}
+	case ModeQuality:
+		if !(t.KeepUpFraction > 0 && t.KeepUpFraction <= 1) {
+			return fmt.Errorf("core: quality-mode keep-up fraction %v must be in (0,1]", t.KeepUpFraction)
+		}
+	default:
+		return fmt.Errorf("core: unknown tuner mode %v", t.Mode)
+	}
+	return nil
 }
 
 // InvocationStats summarises one accelerator invocation for the tuner.

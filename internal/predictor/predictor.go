@@ -62,7 +62,8 @@ type Predictor interface {
 	// Cost returns the per-check hardware cost.
 	Cost() Cost
 	// Reset clears any cross-element state (only the EMA checker has
-	// state); called at the start of each accelerator invocation batch.
+	// state); called once per System.Run and once per core.Stream, whose
+	// calls then continue the checker's history.
 	Reset()
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"rumba/internal/core"
+	"rumba/internal/exec"
 )
 
 // Frontier-driven operating-point selection: when rumba-serve is started with
@@ -9,8 +10,8 @@ import (
 // consults it. The SLA-selection rule (tune.Frontier.Select) picks the
 // cheapest frontier point whose predicted corpus error meets the tenant's TOQ
 // target and whose predicted chunk latency meets the kernel's p99 SLO; the
-// tenant's accelerator is switched to the point's datapath, its request
-// pipelines run at the point's batch width, and the tune.* gauges compare the
+// tenant's accelerator is switched to the point's datapath, its engine runs
+// at the point's batch width, and the tune.* gauges compare the
 // point's predicted cost against what the tenant actually observes.
 
 // Observability names of the frontier selection.
@@ -67,10 +68,12 @@ func kernelHasChecker(k *Kernel, name string) bool {
 
 // applyFrontier selects the tenant's operating point — cheapest qualifying
 // frontier point for its checker family and quality target — and configures
-// its executor and batch width accordingly. No qualifying point (or an
+// its executor acc and batch width accordingly. No qualifying point (or an
 // executor without datapath support) leaves the server defaults in place.
-// Caller holds whatever lock guards ts; the tenant is not yet visible.
-func (t *Tenants) applyFrontier(ts *tenant, k *Kernel, target float64) {
+// It is the only place a tenant's datapath or batch width is chosen, and it
+// runs before the tenant's engine is built. Caller holds whatever lock
+// guards ts; the tenant is not yet visible.
+func (t *Tenants) applyFrontier(ts *tenant, k *Kernel, acc exec.Executor, target float64) {
 	if t.frontier == nil {
 		return
 	}
@@ -78,7 +81,7 @@ func (t *Tenants) applyFrontier(ts *tenant, k *Kernel, target float64) {
 	if !ok {
 		return
 	}
-	ap, can := ts.accel.(datapather)
+	ap, can := acc.(datapather)
 	if !can {
 		return
 	}
@@ -89,5 +92,7 @@ func (t *Tenants) applyFrontier(ts *tenant, k *Kernel, target float64) {
 	}
 	ts.point = &pt
 	ts.pointIndex = idx
-	ts.batch = pt.Batch
+	if pt.Batch > 0 {
+		ts.batch = pt.Batch
+	}
 }
