@@ -60,9 +60,14 @@ type DriftConfig struct {
 	Window int
 	// K and N are the alert hysteresis: the state flips to violating when K
 	// of the last N windows breached the target. <= 0 uses 3 of 5. K is
-	// clamped into [1, N].
+	// clamped into [1, N]; N is at most MaxDriftN.
 	K, N int
 }
+
+// MaxDriftN bounds DriftConfig.N, the k-of-n verdict ring each monitor
+// allocates: New refuses a larger N and a tenant restore refuses a snapshot
+// with a larger ring, so every snapshot a server writes restores.
+const MaxDriftN = 1024
 
 func (c DriftConfig) withDefaults() DriftConfig {
 	if c.Window <= 0 {

@@ -2,10 +2,8 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 )
 
 // This file is the tenant state handoff surface: the export/import/remove
@@ -56,22 +54,8 @@ type ImportReport struct {
 
 // exportTenant snapshots every tenant×kernel entry for one tenant id.
 func (t *Tenants) exportTenant(id string) TenantState {
-	t.mu.Lock()
-	tenants := make([]*tenant, 0, 4)
-	for key, ts := range t.m {
-		if key.Tenant == id {
-			tenants = append(tenants, ts)
-		}
-	}
-	t.mu.Unlock()
-	st := TenantState{Version: stateVersion, Tenant: id}
-	for _, ts := range tenants {
-		ts.mu.Lock()
-		st.States = append(st.States, ts.snapshotLocked())
-		ts.mu.Unlock()
-	}
-	sortSnapshots(st.States)
-	return st
+	states := t.snapshots(func(k TenantKey) bool { return k.Tenant == id })
+	return TenantState{Version: stateVersion, Tenant: id, States: states}
 }
 
 // importTenant restores the envelope's snapshots, overwriting live entries
@@ -86,24 +70,9 @@ func (t *Tenants) importTenant(id string, st TenantState, reg *Registry) (Import
 			return rep, fmt.Errorf("server: tenant state for %q carries entry for %q", id, snap.Tenant)
 		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, snap := range st.States {
-		ts, err := t.restoreTenant(snap, reg)
-		if err != nil {
-			if errors.Is(err, errSkipSnapshot) {
-				rep.Skipped++
-				continue
-			}
-			return rep, err
-		}
-		if _, live := t.m[ts.key]; live {
-			rep.Replaced++
-		}
-		t.m[ts.key] = ts
-		rep.Imported++
-	}
-	return rep, nil
+	var err error
+	rep.Imported, rep.Skipped, rep.Replaced, err = t.restore(st.States, reg)
+	return rep, err
 }
 
 // removeTenant drops every tenant×kernel entry for one tenant id, returning
@@ -119,12 +88,6 @@ func (t *Tenants) removeTenant(id string) int {
 		}
 	}
 	return removed
-}
-
-// sortSnapshots orders an export by kernel so the envelope is deterministic
-// (one tenant's entries all share the tenant id).
-func sortSnapshots(snaps []tenantSnapshot) {
-	sort.Slice(snaps, func(a, b int) bool { return snaps[a].Kernel < snaps[b].Kernel })
 }
 
 // handleTenantStateGet is GET /v1/tenants/{id}/state: export for handoff
